@@ -570,8 +570,8 @@ class IncrementalSchemaEncoder(SchemaEncoder):
     while ``sel`` is assumed true.  Editing the schema then means retiring
     the selectors of removed/changed elements and emitting new groups for
     added ones — the CNF only ever grows, and a persistent
-    :class:`~repro.sat.solver.DpllSolver` keeps its clause database and
-    watch structure across checks.
+    :class:`~repro.sat.solver.CdclSolver` keeps its clause database and
+    watch structure across checks (it deletes a retired group's clauses).
 
     The *individual universe is immutable per encoder*: the abstract domain
     size is fixed at construction and the value individuals are snapshotted
@@ -617,7 +617,7 @@ class IncrementalSchemaEncoder(SchemaEncoder):
 
     @property
     def retired_group_count(self) -> int:
-        """How many groups have been retired (rebuild-hygiene signal)."""
+        """How many groups have been retired (the rebuild's memory signal)."""
         return len(self._retired)
 
     def value_universe(self) -> tuple[str, ...]:
@@ -712,11 +712,10 @@ class IncrementalSchemaEncoder(SchemaEncoder):
         detecting value-universe changes — those invalidate the whole
         encoder (see class docstring).
 
-        Returns the selectors retired by *this* call so the caller can hand
-        them to :meth:`repro.sat.solver.CdclSolver.retire_selectors` — a
-        persistent solver then drops the learned clauses that depended on
-        the retired groups (hygiene; the verdict is already safe because
-        every such lemma carries the groups' negated selectors).
+        Returns the selectors retired by *this* call; the caller must hand
+        them to :meth:`repro.sat.solver.CdclSolver.retire_selectors`, which
+        fixes them false for good — :meth:`assumptions` no longer lists
+        them.
         """
         if desired is None:
             desired = self.desired_groups()
@@ -844,12 +843,13 @@ class IncrementalSchemaEncoder(SchemaEncoder):
     def assumptions(self, goal: Goal) -> list[int]:
         """The assumption literals activating the current schema + goal.
 
-        Structural groups are asserted, retired selectors are negated (for
-        search determinism — a free retired selector would cost decisions),
-        and goal groups are asserted or negated per the requested goal.
+        Only live groups appear: structural groups are asserted and goal
+        groups are asserted or negated per the requested goal.  Retired
+        selectors are left out — the solver they were handed to (see
+        :meth:`sync`) holds them false at level 0.
         """
         wanted = self.goal_group_keys(goal)
-        literals = [-selector for selector in self._retired]
+        literals: list[int] = []
         for key, selector in self._groups.items():
             if key[0] in ("popfact", "poptype"):
                 literals.append(selector if key in wanted else -selector)

@@ -6,11 +6,12 @@ persistent :class:`~repro.sat.solver.CdclSolver` per domain size, fed from a
 selector-guarded :class:`~repro.reasoner.encoding.IncrementalSchemaEncoder`.
 Each :meth:`check` drains the schema's :class:`~repro.orm.schema.SchemaChange`
 journal, retires the clause groups of removed/changed elements (handing the
-retired selectors to the solver, which drops the learned clauses that
-depended on them), emits guarded groups for added ones, and re-solves under
-assumptions — so the per-edit cost is proportional to the edit, not to the
-schema, and the clauses the solver *learned* during earlier checks keep
-pruning the search of later ones.
+retired selectors to the solver, which fixes them false at level 0 and
+deletes the groups' clauses and the lemmas that depended on them), emits
+guarded groups for added ones, and re-solves under assumptions for the live
+groups only — so the per-edit cost is proportional to the edit, not to the
+schema or its history, and the clauses the solver *learned* during earlier
+checks keep pruning the search of later ones.
 
 Verdicts are *identical* to a fresh ``BoundedModelFinder`` run (property-
 tested): the same iterative-deepening sweep, the same goal semantics, and
@@ -24,9 +25,10 @@ occasionally slower):
 * **value-universe change** — the encoder's individual set is immutable, and
   an edit that adds or removes a value-constrained object type changes the
   set of value individuals;
-* **retired-group pileup** — assumptions grow with every retired selector,
-  so after :data:`MAX_RETIRED_GROUPS` retirements the context is rebuilt
-  compact.
+* **retired-group pileup** — a retired group costs a check nothing, but the
+  encoder's :class:`~repro.sat.cnf.CnfBuilder` keeps every clause and
+  variable name it has emitted, so after :data:`MAX_RETIRED_GROUPS`
+  retirements the context is rebuilt to bound its memory.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from repro.reasoner.encoding import (
 from repro.reasoner.modelfinder import Verdict, sweep_sizes, validate_witness
 from repro.sat.solver import CdclSolver
 
-#: Rebuild a warm context once this many groups have been retired.
+#: Rebuild a warm context once this many groups have been retired (its
+#: memory bound: the encoder keeps what it emitted for retired groups).
 MAX_RETIRED_GROUPS = 256
 
 #: Default per-solve conflict budget for warm checks.  ``check`` holds the
@@ -193,10 +196,8 @@ class SessionReasoner:
             touched.update(self._touched_keys(change))
         retired = context.encoder.sync(touched, desired=self._desired_now(context))
         if retired:
-            # Retire-hook into the learned database: lemmas that depended on
-            # the retired groups carry their negated selectors (inert under
-            # the retirement assumptions), so deleting them is hygiene — a
-            # long session must not drag dead lemmas through every check.
+            # The encoder stops assuming these selectors: the solver fixes
+            # them false at level 0 and drops their clauses and lemmas.
             context.solver.retire_selectors(retired)
         context.mark = self._schema.journal_size
         if context.encoder.retired_group_count > MAX_RETIRED_GROUPS:
@@ -235,12 +236,15 @@ class SessionReasoner:
         return context
 
     def _feed(self, context: _WarmContext) -> None:
-        """Hand any newly built clauses to the persistent solver."""
-        clauses = context.encoder.builder.clauses
-        context.solver.ensure_num_vars(context.encoder.builder.num_vars)
-        for clause in clauses[context.fed :]:
-            context.solver.add_clause(clause)
-        context.fed = len(clauses)
+        """Hand any newly built clauses, with their guards, to the
+        persistent solver."""
+        builder = context.encoder.builder
+        solver = context.solver
+        solver.ensure_num_vars(builder.num_vars)
+        start = context.fed
+        for clause, guard in zip(builder.clauses[start:], builder.guards[start:]):
+            solver.add_clause(clause, guard=guard)
+        context.fed = len(builder.clauses)
 
     @staticmethod
     def _invalidates_universe(change: SchemaChange) -> bool:

@@ -34,6 +34,7 @@ class CnfBuilder:
     def __init__(self) -> None:
         self._num_vars = 0
         self._clauses: list[Clause] = []
+        self._guards: list[Literal | None] = []
         self._names: dict[int, str] = {}
         self._guard: Literal | None = None
         self._literal_count = 0
@@ -47,6 +48,12 @@ class CnfBuilder:
     def clauses(self) -> list[Clause]:
         """The clause list (shared, do not mutate)."""
         return self._clauses
+
+    @property
+    def guards(self) -> list[Literal | None]:
+        """The guard selector of each clause, parallel to :attr:`clauses`
+        (``None`` for an unguarded clause; shared, do not mutate)."""
+        return self._guards
 
     def new_var(self, name: str | None = None) -> int:
         """Allocate a fresh variable, optionally with a debug name."""
@@ -65,20 +72,23 @@ class CnfBuilder:
         This is the MiniSat-style selector idiom behind incremental solving:
         a guarded clause ``C`` is stored as ``¬selector ∨ C`` and is only
         *active* while ``selector`` is asserted (via solve-time assumptions).
-        Dropping the assumption — or assuming ``¬selector`` — retires the
-        whole group without touching the clause database.
+        Each clause records its guard (:attr:`guards`), so a solver fed with
+        it knows the group; :meth:`repro.sat.solver.CdclSolver.retire_selectors`
+        then retires the group for good by fixing ``¬selector`` at decision
+        level 0 and deleting the group's clauses.  A retired selector is
+        never assumed or used as a guard again: a group that comes back is
+        emitted under a fresh selector.
 
         **Learned-clause contract.**  Selectors must occur *only negatively*
         in the formula (only as guards, never as ordinary literals — which
         is all this builder ever emits).  Resolution then cannot eliminate
         a ``¬selector``, so every clause a CDCL solver *learns* from a
         guarded group automatically contains the ``¬selector`` of each group
-        its derivation used: retiring a group deactivates its dependent
-        lemmas with no extra bookkeeping, and
-        :meth:`repro.sat.solver.CdclSolver.retire_selectors` may delete them
-        outright as hygiene.  A caller that asserted a selector *positively*
-        inside a clause would break this — lemmas could shed the dependency
-        and survive retirement.
+        its derivation used: the level-0 ``¬selector`` of a retired group
+        satisfies its dependent lemmas, and the solver deletes them with
+        the group.  A caller that asserted a selector *positively* inside a
+        clause would break this — lemmas could shed the dependency and
+        survive retirement.
         """
         if self._guard is not None:
             raise SolverError("clause guards do not nest")
@@ -118,6 +128,7 @@ class CnfBuilder:
         if any(-literal in unique for literal in unique):
             return  # tautology
         self._clauses.append(unique)
+        self._guards.append(self._guard)
         self._literal_count += len(unique)
 
     def add_implication(self, antecedent: Literal, consequent: Literal) -> None:

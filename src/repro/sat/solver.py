@@ -12,29 +12,46 @@ to a backjumping DPLL whose lemmas never outlive the search path — the
 "deliberately no learning" profile earlier revisions shipped, kept as the
 baseline the benchmarks compare against.
 
+**Clause groups and level 0.**  The solver is incremental in MiniSat's
+style (Eén & Sörensson, "An Extensible SAT-solver", SAT 2003).  A problem
+clause may carry the selector of its *group* (it reads ``¬sel ∨ C``, see
+:meth:`repro.sat.cnf.CnfBuilder.begin_guard`); the group is active while
+``sel`` is assumed.  :meth:`CdclSolver.retire_selectors` retires a group for
+good: it fixes ``¬sel`` at decision level 0 and deletes the group's clauses,
+which that fact satisfies.  Level-0 facts are never undone —
+:meth:`CdclSolver.solve`, :meth:`CdclSolver.add_clause` and
+:meth:`CdclSolver.retire_selectors` backtrack to level 0, not below — so a
+solve propagates only what was added since the last one, and a retired
+selector costs neither an assumption nor a decision.  (The ``learning=False``
+profile still resets everything per solve: it is the reference the
+benchmarks compare against.)
+
 **Learned clauses and selector guards.**  Learned clauses are derived by
 resolution over the clause database only — assumptions contribute literals
 but never premises — so every lemma is a logical consequence of the clauses
 added so far, and stays valid as the database grows.  In particular, a lemma
-whose derivation used selector-guarded clauses (``¬sel ∨ C``, see
-:meth:`repro.sat.cnf.CnfBuilder.begin_guard`) automatically contains the
-``¬sel`` of every group it depends on: selectors occur only negatively in
-the database, so resolution can never eliminate them.  Retiring a group
-(assuming ``¬sel``) therefore deactivates its dependent lemmas for free;
-:meth:`CdclSolver.retire_selectors` additionally *deletes* them, so a
-long-lived warm solver does not drag dead lemmas through every later check.
+whose derivation used a guarded clause automatically contains the ``¬sel``
+of every group it depends on: selectors occur only negatively in the
+database, so resolution can never eliminate them, and ``¬sel`` is never
+false at level 0 (only an assumption makes ``sel`` true), so conflict
+analysis never drops it with the level-0 literals.  The level-0 ``¬sel`` of
+a retired group therefore satisfies every lemma that depended on it, and
+:meth:`CdclSolver.retire_selectors` deletes those lemmas with the group.
 
 The solver is deterministic: identical inputs (including the clause-add and
 solve interleaving) yield identical verdicts and statistics, which the
-benchmarks rely on.  Because learned clauses persist between :meth:`solve`
-calls, a *re-solve* is intentionally not equivalent to a fresh solver: it is
-faster, and may return a different (still verified) model.
+benchmarks rely on.  Because learned clauses and level-0 facts persist
+between :meth:`solve` calls, a *re-solve* is intentionally not equivalent to
+a fresh solver: it is faster, and may return a different (still verified)
+model.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.exceptions import SolverError
@@ -104,16 +121,14 @@ class CdclSolver:
 
     The solver is *incremental*: :meth:`add_clause` extends the clause
     database after construction, :meth:`ensure_num_vars` grows the variable
-    range, and :meth:`solve` is reentrant — it resets the trail and
-    assignment on entry, so every call searches the current database afresh
-    (but keeps the learned clauses and activity scores of earlier calls,
-    which is what makes a warm solver faster than a cold one).
-    ``solve(assumptions=...)`` decides the given literals below every real
-    decision, MiniSat-style; a ``False`` status then means "unsatisfiable
-    *under these assumptions*", which is what makes selector-guarded clause
-    groups retirable.  :meth:`retire_selectors` deletes the learned clauses
-    that depend on retired groups (see the module docstring for why the
-    dependency is visible in the lemma itself).
+    range, and :meth:`solve` is reentrant — it backtracks to decision level
+    0 on entry and keeps the level-0 facts, learned clauses and activity
+    scores of earlier calls, which is what makes a warm solver faster than a
+    cold one.  ``solve(assumptions=...)`` decides the given literals below
+    every real decision, MiniSat-style; a ``False`` status then means
+    "unsatisfiable *under these assumptions*", which is what makes
+    selector-guarded clause groups switchable.  :meth:`retire_selectors`
+    retires groups for good (see the module docstring).
     """
 
     def __init__(
@@ -121,14 +136,18 @@ class CdclSolver:
     ) -> None:
         self._num_vars = 0
         # Clause database: problem and learned clauses share one id space;
-        # deleted learned clauses leave a None hole (watch lists are cleaned
-        # lazily during propagation).
+        # deleted clauses leave a None hole (watch lists are cleaned lazily
+        # during propagation).
         self._clauses: list[list[int] | None] = []
         self._num_problem = 0
         self._learned: dict[int, float] = {}  # id -> activity
         self._watches: dict[int, list[int]] = {}
+        # Level-0 units: problem units and retired selectors' negations.
+        # _units[:_units_head] are on the trail already.
         self._units: list[int] = []
-        self._learned_units: list[int] = []
+        self._units_head = 0
+        # Ids of each live group's clauses, keyed by its selector variable.
+        self._groups: dict[int, list[int]] = {}
         self._empty_clause = False
         # Per-variable state, 1-indexed (slot 0 unused).
         self._assign: list[int] = [_UNASSIGNED]
@@ -143,8 +162,9 @@ class CdclSolver:
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._queue_head = 0
-        # EVSIDS branching state: a lazy max-heap of (-activity, var); stale
-        # entries are skipped at pop time.
+        # EVSIDS branching state: a lazy max-heap of (-activity, var) that
+        # holds every unassigned variable; stale entries are skipped at pop
+        # time, and the heap is rebuilt once they make up half of it.
         self._heap: list[tuple[float, int]] = []
         self._var_inc = 1.0
         self._cla_inc = 1.0
@@ -165,8 +185,14 @@ class CdclSolver:
 
     @classmethod
     def from_builder(cls, builder: CnfBuilder) -> "CdclSolver":
-        """Convenience constructor from a :class:`CnfBuilder`."""
-        return cls(builder.num_vars, builder.clauses)
+        """Convenience constructor from a :class:`CnfBuilder`, keeping each
+        clause's guard (a clause appended to ``builder.clauses`` directly
+        counts as unguarded)."""
+        solver = cls(builder.num_vars, [])
+        guards = itertools.chain(builder.guards, itertools.repeat(None))
+        for clause, guard in zip(builder.clauses, guards):
+            solver.add_clause(clause, guard=guard)
+        return solver
 
     # ------------------------------------------------------------------
     # database growth
@@ -182,10 +208,22 @@ class CdclSolver:
             self._activity.extend([0.0] * grow)
             self._phase.extend([None] * grow)
             self._seen.extend(bytes(grow))
+            # Activity 0 with a higher index than every variable so far is
+            # the heap's largest key: appending keeps the heap ordered.
+            self._heap.extend(
+                (0.0, var) for var in range(self._num_vars + 1, num_vars + 1)
+            )
             self._num_vars = num_vars
 
-    def add_clause(self, clause: Clause) -> None:
-        """Add one problem clause (allowed between solve calls)."""
+    def add_clause(self, clause: Clause, guard: int | None = None) -> None:
+        """Add one problem clause (allowed between solve calls).
+
+        ``guard`` is the selector of the clause's group, if it has one (the
+        clause then contains ``¬guard``): :meth:`retire_selectors` deletes
+        the clause with its group.  A clause added while level-0 facts are
+        assigned is watched on literals they leave open; if they leave it
+        one, that literal is asserted at level 0.
+        """
         literals = list(clause)
         top = max((abs(literal) for literal in literals), default=0)
         if top > self._num_vars:
@@ -201,42 +239,64 @@ class CdclSolver:
         self._clauses.append(literals)
         for literal in literals:
             self._polarity[literal] += 1
+        if self._trail:
+            self._cancel_until(0)
+            self._watch_open_literals(literals, index)
         # Watch the first two literals.
         for literal in literals[:2]:
             self._watches.setdefault(literal, []).append(index)
+        if guard is not None:
+            self._groups.setdefault(guard, []).append(index)
+
+    def _watch_open_literals(self, literals: list[int], index: int) -> None:
+        """Move literals the level-0 facts do not falsify to the watched
+        positions.  With one such literal left, assert it; with none, the
+        formula is unsatisfiable for good."""
+        found = 0
+        for position, literal in enumerate(literals):
+            if self._value(literal) != _FALSE:
+                literals[found], literals[position] = literal, literals[found]
+                found += 1
+                if found == 2:
+                    return
+        if found == 0:
+            self._empty_clause = True  # falsified by facts that are permanent
+        elif self._value(literals[0]) == _UNASSIGNED:
+            self._enqueue(literals[0], index)
 
     @property
     def learned_clause_count(self) -> int:
         """Learned clauses currently in the database (units excluded)."""
         return len(self._learned)
 
-    def retire_selectors(self, selectors) -> int:
-        """Delete every learned clause that mentions one of ``selectors``.
+    def retire_selectors(self, selectors: Iterable[int]) -> int:
+        """Retire the groups of ``selectors`` for good.
 
-        This is the hygiene half of the guard-retirement contract (module
-        docstring): lemmas depending on a retired selector group are already
-        *inert* — they contain the group's ``¬sel``, which the caller keeps
-        assumed — but deleting them stops a long-lived solver from carrying
-        dead clauses through every later check.  Must be (and is) safe to
-        call between solves: the search state is reset first so no lemma is
-        locked as a propagation reason.  Returns the number deleted.
+        Fixes ``¬sel`` at level 0 for each selector and deletes the group's
+        clauses and every lemma that mentions the selector — the fact
+        satisfies all of them (module docstring), so no verdict changes and
+        a long-lived solver stops carrying them.  A retired selector must
+        not be assumed again (that solve is unsatisfiable) or guard a later
+        clause.  Backtracks to level 0 first, so no lemma is the reason of
+        an assignment above it.  Returns the number of clauses deleted.
         """
-        retired = {abs(selector) for selector in selectors}
+        retired = dict.fromkeys(abs(selector) for selector in selectors)
         if not retired:
             return 0
-        self._reset_search()
+        self.ensure_num_vars(max(retired))
+        self._cancel_until(0)
         removed = 0
+        for var in retired:
+            self._units.append(-var)
+            for index in self._groups.pop(var, ()):
+                self._clauses[index] = None
+                removed += 1
         for index in list(self._learned):
             clause = self._clauses[index]
             if any(abs(literal) in retired for literal in clause):
                 self._clauses[index] = None
                 del self._learned[index]
                 removed += 1
-        kept_units = [
-            literal for literal in self._learned_units if abs(literal) not in retired
-        ]
-        removed += len(self._learned_units) - len(kept_units)
-        self._learned_units = kept_units
         return removed
 
     # ------------------------------------------------------------------
@@ -449,8 +509,7 @@ class CdclSolver:
         """Store the lemma and assert its literal (call after backjumping)."""
         result.learned += 1
         if len(learned) == 1:
-            # A globally implied fact: persists across solves as a unit.
-            self._learned_units.append(learned[0])
+            # A globally implied fact: it stays on the trail at level 0.
             self._enqueue(learned[0], None)
             return
         index = len(self._clauses)
@@ -511,9 +570,12 @@ class CdclSolver:
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._queue_head = len(self._trail)
+        if len(self._heap) > 2 * self._num_vars:
+            self._rebuild_heap()  # drop the stale entries
 
     def _reset_search(self) -> None:
-        """Clear all search state from a previous :meth:`solve` call."""
+        """The ``learning=False`` profile's fresh start: clear every
+        assignment, level 0 included, and drop every lemma."""
         for literal in self._trail:
             var = abs(literal)
             self._assign[var] = _UNASSIGNED
@@ -521,12 +583,10 @@ class CdclSolver:
         self._trail.clear()
         self._trail_lim.clear()
         self._queue_head = 0
-        if not self.learning:
-            # The no-learning profile drops every lemma between solves.
-            for index in list(self._learned):
-                self._clauses[index] = None
-            self._learned.clear()
-            self._learned_units.clear()
+        self._units_head = 0
+        for index in self._learned:
+            self._clauses[index] = None
+        self._learned.clear()
         self._rebuild_heap()
 
     def solve(
@@ -543,11 +603,16 @@ class CdclSolver:
         uses it to slice long checks instead of holding a session lock for
         an unbounded solve; learned clauses survive the early exit, so a
         retried check resumes from a stronger database rather than from
-        scratch.  The call is reentrant: trail and assignment are reset on
-        entry (learned clauses and activities persist by design).
+        scratch.  The call is reentrant: it backtracks to level 0 on entry,
+        asserts the units added since the last call, and keeps the level-0
+        facts, learned clauses and activities of earlier calls (the
+        ``learning=False`` profile resets all of them instead).
         """
         result = SatResult(status=None)
-        self._reset_search()
+        if self.learning:
+            self._cancel_until(0)
+        else:
+            self._reset_search()
         if self._empty_clause:
             result.status = False
             result.learned_kept = len(self._learned)
@@ -557,13 +622,11 @@ class CdclSolver:
                 raise SolverError(
                     f"assumption {literal} references an unallocated variable"
                 )
-        for literal in self._units:
+        while self._units_head < len(self._units):
+            literal = self._units[self._units_head]
+            self._units_head += 1
             if not self._enqueue(literal, None):
-                result.status = False
-                result.learned_kept = len(self._learned)
-                return result
-        for literal in self._learned_units:
-            if not self._enqueue(literal, None):
+                self._empty_clause = True
                 result.status = False
                 result.learned_kept = len(self._learned)
                 return result
@@ -581,7 +644,9 @@ class CdclSolver:
                 result.conflicts += 1
                 conflicts_since_restart += 1
                 if not self._trail_lim:
-                    result.status = False  # conflict at level 0: global UNSAT
+                    # Conflict at level 0: unsatisfiable for good.
+                    self._empty_clause = True
+                    result.status = False
                     break
                 learned = self._analyze(conflict)
                 self._cancel_until(self._backjump_level(learned))

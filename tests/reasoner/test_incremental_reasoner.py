@@ -135,6 +135,37 @@ class TestEditAgreement:
         for context in warm._contexts.values():
             assert context.encoder.retired_group_count <= MAX_RETIRED_GROUPS
 
+    def test_long_lived_context_state_stays_bounded(self):
+        # A warm solver keeps level 0 between solves and updates its lazy
+        # branching heap instead of rebuilding it per solve, so over ~1000
+        # edit+check rounds the heap's stale entries and the level-0 units
+        # of retired selectors must stay proportional to the variable
+        # count, and only live groups may keep clauses in the solver.
+        rng = random.Random(16)
+        schema = SchemaBuilder().entity("A").entity("B").build()
+        schema.add_fact_type("F", "f1", "A", "f2", "B")
+        schema.add_fact_type("G", "g1", "A", "g2", "B")
+        warm = SessionReasoner(schema)
+        labels = []
+        statuses = set()
+        for _ in range(1000):
+            if labels and rng.random() < 0.5:
+                schema.remove_constraint(labels.pop(rng.randrange(len(labels))))
+            elif rng.random() < 0.3:
+                # With f1 and g1 both mandatory, A (so F and G) stays empty.
+                labels.append(schema.add_exclusion("f1", "g1").label)
+            else:
+                role = rng.choice(("f1", "f2", "g1", "g2"))
+                labels.append(schema.add_mandatory(role).label)
+            statuses.add(warm.check("strong", max_domain=2).status)
+            for context in warm._contexts.values():
+                solver = context.solver
+                assert len(solver._heap) <= 2 * solver._num_vars
+                assert len(solver._units) <= 2 * solver._num_vars
+                assert solver._groups.keys() <= set(context.encoder._groups.values())
+        assert statuses == {"sat", "unsat"}
+        assert warm.stats.cold_rebuilds > 0  # lived through rebuild cycles
+
     def test_top_chain_stays_linear_on_wide_flat_schemas(self):
         # The default top-type disjointness used to cost O(roots^2) selector
         # groups; the sequential chain costs one group per root, and adding

@@ -340,12 +340,13 @@ class TestGuardedLearning:
         assert active.status is False and active.learned_kept > 0
         removed = solver.retire_selectors([selector])
         # Every lemma's derivation used the guarded group, so every lemma
-        # carried ¬sel and every lemma goes.
+        # carried ¬sel and every lemma goes, with the group's own clauses.
         assert removed > 0
         assert solver.learned_clause_count == 0
         pile_up = tuple(var[pigeon, 0] for pigeon in range(4))
         assert solver.solve(assumptions=(-selector, *pile_up)).is_sat
-        # Re-activating the (still present) group restores the refutation.
+        assert solver.solve(assumptions=pile_up).is_sat
+        # ¬sel holds at level 0 for good: assuming sel again fails at once.
         assert solver.solve(assumptions=(selector,)).status is False
 
     def test_lemmas_of_surviving_groups_are_kept(self):
@@ -398,3 +399,77 @@ class TestCdclFuzzHarness:
             assert result.status is expected
             if result.is_sat:
                 assert verify_model(reference, result.model)
+
+    @pytest.mark.parametrize("learning", [True, False])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_group_retirement_agrees_with_brute_force(self, seed, learning):
+        """Selector-guarded groups come and go on one long-lived solver.
+        Each round emits groups through the builder's guards, adds plain
+        clauses and units (after a solve that left assumption levels on the
+        trail), retires random groups and solves under the live selectors.
+        The reference is the plain clauses plus the clauses of the groups
+        assumed active, guards stripped, over the plain variables only."""
+        rng = random.Random(seed * 104_729 + (0 if learning else 1))
+        num_plain = rng.randint(3, 7)
+        builder = build(num_plain, [])
+        solver = CdclSolver(0, [], learning=learning)
+        if rng.random() < 0.5:
+            solver.restart_base = rng.choice((1, 3))
+
+        def random_clause(width):
+            return tuple(
+                rng.choice((1, -1)) * rng.randint(1, num_plain) for _ in range(width)
+            )
+
+        fed, live, retired = 0, [], []
+        for _ in range(rng.randint(4, 10)):
+            for _ in range(rng.randint(0, 3)):
+                selector = builder.new_var()
+                builder.begin_guard(selector)
+                for _ in range(rng.randint(1, 4)):
+                    # Width 0 is the guarded empty clause: the unit ¬selector.
+                    builder.add_clause(random_clause(rng.randint(0, 3)))
+                builder.end_guard()
+                live.append(selector)
+            # Plain units put facts on level 0 for later clauses to meet; not
+            # too many, or later rounds are all unsatisfiable.
+            for _ in range(rng.randint(0, 2)):
+                width = 1 if rng.random() < 0.3 else rng.randint(2, 3)
+                builder.add_clause(random_clause(width))
+            solver.ensure_num_vars(builder.num_vars)
+            for clause, guard in zip(builder.clauses[fed:], builder.guards[fed:]):
+                solver.add_clause(clause, guard=guard)
+            fed = len(builder.clauses)
+            doomed = rng.sample(live, rng.randint(0, len(live)))
+            solver.retire_selectors(doomed)
+            live = [selector for selector in live if selector not in doomed]
+            retired += doomed
+            active = [selector for selector in live if rng.random() < 0.8]
+            assumptions = [
+                selector if selector in active else -selector for selector in live
+            ] + [
+                rng.choice((1, -1)) * var
+                for var in rng.sample(range(1, num_plain + 1), rng.randint(0, 2))
+            ]
+            rng.shuffle(assumptions)
+            reference = build(
+                num_plain,
+                [
+                    tuple(literal for literal in clause if literal != -guard)
+                    if guard is not None
+                    else clause
+                    for clause, guard in zip(builder.clauses, builder.guards)
+                    if guard is None or guard in active
+                ]
+                + [(literal,) for literal in assumptions if abs(literal) <= num_plain],
+            )
+            result = solver.solve(assumptions=assumptions)
+            assert result.status is brute_force_satisfiable(reference)
+            if result.is_sat:
+                assert verify_model(reference, result.model)
+                assert all(result.model[selector] for selector in active)
+                assert not any(result.model[selector] for selector in retired)
+            gone = set(retired)
+            assert not gone & solver._groups.keys()
+            for index in solver._learned:
+                assert not any(abs(lit) in gone for lit in solver._clauses[index])
