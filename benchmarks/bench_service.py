@@ -37,8 +37,6 @@ def _service() -> ValidationService:
     return ValidationService(
         settings=ValidatorSettings(formation_rules=True),
         max_live_engines=16,
-        max_workers=4,
-        store_shards=8,
     )
 
 

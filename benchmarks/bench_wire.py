@@ -35,7 +35,7 @@ _RESULTS: dict[int, float] = {}
 
 def _measure(count: int) -> float:
     """Aggregate requests/sec across ``count`` concurrent wire clients."""
-    with ServerThread(max_workers=4, drain_interval=0.02) as server:
+    with ServerThread(drain_interval=0.02) as server:
         base_url = server.base_url
         barrier = threading.Barrier(count + 1)
         requests_done = [0] * count

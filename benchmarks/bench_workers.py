@@ -1,8 +1,8 @@
 """Experiment: multi-process drain throughput behind the wire protocol.
 
 The tentpole claim behind :mod:`repro.server.workers`: the single-process
-wire front is GIL-bound — however many threads the service owns, every
-session's drain refresh shares one interpreter — while ``--workers N``
+wire front is GIL-bound — every session's drain refresh shares one
+interpreter — while ``--workers N``
 gives each shard of the session space its own process.  Aggregate **drain
 throughput** (journal changes validated per second across all sessions)
 should therefore scale with worker count wherever the hardware has the
@@ -52,17 +52,9 @@ WORKER_COUNTS = (2, 4)
 _RESULTS: dict[str, float] = {}
 
 
-def _mode_kwargs(workers: int) -> dict:
-    if workers:
-        # Each worker's service gets a small drain pool of its own; the
-        # parallelism the benchmark is after is *across* processes.
-        return {"workers": workers, "max_workers": 2}
-    return {"max_workers": 4}
-
-
 def _measure(workers: int) -> float:
     """Aggregate journal changes drained per second at 64 sessions."""
-    with ServerThread(drain_interval=None, **_mode_kwargs(workers)) as server:
+    with ServerThread(workers=workers, drain_interval=None) as server:
         base_url = server.base_url
         errors: list[BaseException] = []
         barrier = threading.Barrier(CLIENT_THREADS)
@@ -222,7 +214,7 @@ def test_recovery_throughput(tmp_path):
     from repro.server.workers import WorkerPool
 
     data_dir = tmp_path / "data"
-    with WorkerPool(2, max_workers=2, data_dir=data_dir) as pool:
+    with WorkerPool(2, data_dir=data_dir) as pool:
         for index in range(RECOVERY_SESSIONS):
             name = f"r{index}"
             pool.handle("open", {"session": name})
@@ -236,7 +228,7 @@ def test_recovery_throughput(tmp_path):
                     },
                 )
     started = time.perf_counter()
-    restarted = WorkerPool(2, max_workers=2, data_dir=data_dir)
+    restarted = WorkerPool(2, data_dir=data_dir)
     elapsed = time.perf_counter() - started
     try:
         census = restarted.health_payload()["workers"]

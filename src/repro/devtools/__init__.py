@@ -1,7 +1,7 @@
 """Developer tooling that machine-checks the repo's concurrency contracts.
 
 PRs 3-7 grew a three-layer concurrent serving stack around the paper
-reproduction (thread-pooled :class:`~repro.server.service.ValidationService`,
+reproduction (multi-session :class:`~repro.server.service.ValidationService`,
 asyncio :mod:`repro.server.wire` front, multiprocessing
 :mod:`repro.server.workers` pool) whose invariants — session-lock
 discipline, typed-errors-never-tracebacks at the wire boundary,

@@ -112,7 +112,7 @@ _BLOCKING_METHODS: dict[str, str] = {
 #: holding a lock across them is a contract decision that must be visible
 #: (and justified) at the call site.
 _SLOW_CALLS: dict[str, str] = {
-    "refresh": "engine refresh: fans out to and waits on the shard-refresh executor",
+    "refresh": "engine refresh: O(dirty scope) work on the calling thread (no executor)",
     "write_schema": "O(schema) DSL serialization",
 }
 

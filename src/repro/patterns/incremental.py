@@ -59,7 +59,7 @@ schema-insertion order.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, MutableMapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.orm.constraints import (
@@ -341,7 +341,7 @@ class EngineSnapshot:
     """
 
     mark: int
-    sites: dict[str, MutableMapping]
+    sites: dict[str, dict]
     enabled_ids: tuple[str, ...]
     advisories: bool
     formation_rules: bool
@@ -378,17 +378,11 @@ class IncrementalEngine:
     after each drain, so long-lived sessions do not accumulate unbounded
     journals.
 
-    Two hooks serve multi-session deployments
-    (:class:`repro.server.ValidationService`):
-
-    * ``store_factory`` chooses the mapping type backing each per-site
-      finding store — e.g. :class:`repro.server.ShardedSiteStore`, which
-      partitions sites by a stable site-key hash so shard refreshes of
-      disjoint shards are independent units of work;
-    * :meth:`suspend` / :meth:`resume` park an idle engine as an
-      :class:`EngineSnapshot` and later resurrect it by replaying only the
-      journal-checkpoint window since its mark (LRU eviction of idle
-      engines without losing incrementality).
+    For multi-session deployments (:class:`repro.server.ValidationService`),
+    :meth:`suspend` / :meth:`resume` park an idle engine as an
+    :class:`EngineSnapshot` and later resurrect it by replaying only the
+    journal-checkpoint window since its mark (LRU eviction of idle engines
+    without losing incrementality).
     """
 
     def __init__(
@@ -400,7 +394,6 @@ class IncrementalEngine:
         advisories: bool = False,
         formation_rules: bool = False,
         propagation: bool = False,
-        store_factory: Callable[[], MutableMapping] | None = None,
         _resume_from: EngineSnapshot | None = None,
     ) -> None:
         from repro.patterns.advisories import WELLFORMED_CHECKS
@@ -412,19 +405,16 @@ class IncrementalEngine:
         self._patterns = self._engine.enabled_patterns()
         self._advisory_checks = WELLFORMED_CHECKS if advisories else ()
         self._rule_checks = FORMATION_CHECKS if formation_rules else ()
-        self._store_factory: Callable[[], MutableMapping] = store_factory or dict
         self._wants_propagation = propagation
         self._propagator = None
-        self._sites: dict[str, MutableMapping] = {}
+        self._sites: dict[str, dict] = {}
         if _resume_from is not None:
             self._resume_from_snapshot(_resume_from)
             return
         self._mark = schema.journal_size
         started = time.perf_counter()
         for check in self._analyses():
-            store = self._store_factory()
-            store.update(check.check_scoped(schema, None))
-            self._sites[check.pattern_id] = store
+            self._sites[check.pattern_id] = check.check_scoped(schema, None)
         self._build_outputs(time.perf_counter() - started)
         if propagation:
             self._propagator = IncrementalPropagator(schema)
@@ -474,13 +464,7 @@ class IncrementalEngine:
         )
 
     @classmethod
-    def resume(
-        cls,
-        schema: Schema,
-        snapshot: EngineSnapshot,
-        *,
-        store_factory: Callable[[], MutableMapping] | None = None,
-    ) -> "IncrementalEngine":
+    def resume(cls, schema: Schema, snapshot: EngineSnapshot) -> "IncrementalEngine":
         """Resurrect a suspended engine on its schema.
 
         Replays exactly the journal entries recorded since the snapshot's
@@ -495,7 +479,6 @@ class IncrementalEngine:
             advisories=snapshot.advisories,
             formation_rules=snapshot.formation_rules,
             propagation=snapshot.propagation,
-            store_factory=store_factory,
             _resume_from=snapshot,
         )
 
@@ -534,21 +517,14 @@ class IncrementalEngine:
             return None
         return self._propagator.result()
 
-    def refresh(self, *, executor=None) -> ValidationReport:
+    def refresh(self) -> ValidationReport:
         """Consume the schema changes since the last call and re-validate.
 
         Cost is proportional to the dirty neighborhood of those changes,
-        not to the schema size, for every enabled analysis family.
-
-        With ``executor`` (a :class:`concurrent.futures.Executor`) the
-        per-analysis scoped refreshes fan out as independent tasks instead
-        of running on the calling thread: every analysis owns its own
-        finding store, reads the schema without mutating it, and retracts/
-        merges shard by shard when the store is sharded, so the units never
-        share mutable state.  The caller must still serialize ``refresh``
-        with schema edits (the service holds the session lock for the whole
-        call); the executor must be a *different* pool from the one the
-        caller runs on, or a saturated pool deadlocks on its own subtasks.
+        not to the schema size, for every enabled analysis family.  Runs
+        on the calling thread; the caller serializes ``refresh`` with
+        schema edits (the service holds the session lock for the whole
+        call).
         """
         started = time.perf_counter()
         # repro-lint: disable=RL004 -- cannot truncate under us: this engine is an attached consumer, so compaction never drops past our own journal_mark
@@ -560,23 +536,8 @@ class IncrementalEngine:
         scope = scope_from_changes(self.schema, changes)
         if scope.is_empty:
             return self._report
-        analyses = self._analyses()
-        if executor is None or len(analyses) <= 1:
-            for check in analyses:
-                self._refresh_analysis(check, scope)
-        else:
-            # Prime the scope's lazily-built shared caches once, on this
-            # thread, so the fanned-out tasks only ever read them.  The
-            # SetPath graph is primed unconditionally: P6/S1-S3 consult it
-            # whenever they have in-scope sites, setcomp-dirty or not.
-            scope.candidate_constraints(self.schema)
-            scope.setcomp_closure(self.schema)
-            scope.setpath_graph(self.schema)
-            list(
-                executor.map(
-                    lambda check: self._refresh_analysis(check, scope), analyses
-                )
-            )
+        for check in self._analyses():
+            self._refresh_analysis(check, scope)
         self._build_outputs(time.perf_counter() - started)
         if self._propagator is not None:
             self._propagator.refresh(scope, self._report)
@@ -584,14 +545,11 @@ class IncrementalEngine:
 
     def _refresh_analysis(self, check, scope: CheckScope) -> None:
         """One analysis's scoped refresh: recompute the dirty sites, then
-        retract and merge — shard by shard when the store is sharded (the
-        independent unit of a sharded deployment)."""
+        retract the stored verdicts of every dirty site and merge."""
         stored = self._sites[check.pattern_id]
         fresh = check.check_scoped(self.schema, scope)
-        shards = stored.shards() if hasattr(stored, "shards") else (stored,)
-        for shard in shards:
-            for key in [k for k in shard if check.site_dirty(k, scope, self.schema)]:
-                del shard[key]
+        for key in [k for k in stored if check.site_dirty(k, scope, self.schema)]:
+            del stored[key]
         stored.update(fresh)
 
     def site_count(self) -> int:

@@ -1,17 +1,14 @@
-"""Multi-session validation service with sharded finding stores and an
-asyncio wire front.
+"""Multi-session validation service with an asyncio wire front.
 
 :class:`ValidationService` owns many named modeling sessions/schemas behind
 one ``open``/``edit``/``report``/``check``/``close`` API (``check`` is the
 warm bounded-satisfiability verb: a per-session
 :class:`~repro.reasoner.incremental.SessionReasoner` kept in sync through
-the schema journal), drains each schema's change
-journal in **batches** per tick (thread-pool parallel across sessions, a
-lock per schema; each draining engine fans its per-analysis shard refreshes
-onto a second pool), shards every engine's per-site finding store by site
-key (:class:`ShardedSiteStore`), and keeps only the hottest engines live —
-idle ones are suspended to journal-mark snapshots and resumed by replaying
-the checkpoint window (see :mod:`repro.server.service` for the contract).
+the schema journal), drains each schema's change journal in **batches**
+per tick (on the calling thread, under a lock per schema), and keeps only
+the hottest engines live — idle ones are suspended to journal-mark
+snapshots and resumed by replaying the checkpoint window (see
+:mod:`repro.server.service` for the contract).
 
 The service is reachable remotely through the JSON wire protocol
 (:mod:`repro.server.protocol`): :class:`repro.server.wire.WireServer` is
@@ -41,16 +38,12 @@ from repro.server.service import (
     ValidationService,
 )
 from repro.server.sharding import (
-    DEFAULT_SHARDS,
-    ShardedSiteStore,
     rendezvous_owner,
     rendezvous_score,
     session_home,
-    stable_shard_index,
 )
 
 __all__ = [
-    "DEFAULT_SHARDS",
     "DrainStats",
     "EDIT_VERBS",
     "LocalBackend",
@@ -58,7 +51,6 @@ __all__ = [
     "ServiceClient",
     "ServiceStats",
     "SessionHandle",
-    "ShardedSiteStore",
     "ValidationService",
     "WireError",
     "WireServer",
@@ -66,7 +58,6 @@ __all__ = [
     "rendezvous_owner",
     "rendezvous_score",
     "session_home",
-    "stable_shard_index",
 ]
 
 

@@ -19,13 +19,14 @@ drain produces is **exact**, not approximate: whatever the batching, it
 equals the from-scratch analysis of the current schema as a multiset of
 findings (property-tested in ``tests/server/test_service.py``).
 
-**Parallelism.**  Each session owns a lock; drains of different sessions
-run concurrently on the service's thread pool while a drain of one session
-is serialized with its edits.  Within an engine, the per-site finding
-stores are :class:`~repro.server.sharding.ShardedSiteStore` instances —
-sites are partitioned by a stable site-key hash, so refreshes that touch
-disjoint shards are independent units of work (the natural seam for
-cross-process sharding later).
+**Threads.**  The service owns none: every drain and refresh runs on the
+calling thread, over plain ``dict`` finding stores.  Each session owns a
+lock that serializes its edits with its drains; callers on different
+threads (the wire front's executor, a test's editor threads) may work on
+different sessions at once, but refreshes are CPU-bound Python sharing
+one GIL, so a thread pool would add hand-offs without adding throughput.
+More cores are reached with processes instead: the router of
+:mod:`repro.server.workers` runs one service per worker subprocess.
 
 **Memory.**  Only the ``max_live_engines`` most-recently-used sessions
 keep a live engine; idle engines are *suspended* into
@@ -44,7 +45,6 @@ import uuid
 import zlib
 from collections import OrderedDict
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from typing import Any
@@ -55,7 +55,6 @@ from repro.patterns.incremental import EngineSnapshot, IncrementalEngine
 from repro.reasoner.encoding import GOAL_STRONG, Goal
 from repro.reasoner.incremental import MAX_CHECK_CONFLICTS, SessionReasoner
 from repro.reasoner.modelfinder import Verdict
-from repro.server.sharding import DEFAULT_SHARDS, ShardedSiteStore
 from repro.tool.validator import ToolReport, ValidatorSettings, report_from_engine
 
 #: Session-style edit verbs accepted by :meth:`ValidationService.edit`,
@@ -241,16 +240,12 @@ class ValidationService:
         the giant is suspended first even when the engine count is under
         ``max_live_engines``.  ``None`` (default) keeps pure count-LRU.
     max_workers:
-        Thread-pool width for :meth:`drain`.  ``0`` disables the pools
-        (drains run inline, deterministic — handy for tests and the CLI's
-        ``--jobs 0``).  A nonzero width creates **two** pools of that
-        width: one draining sessions, one fanning each draining engine's
-        per-analysis shard refreshes (separate pools, so a drain waiting
-        on its refresh units can never deadlock the tick) — a single hot
-        schema's refresh therefore no longer serializes a tick on one
-        thread.
-    store_shards:
-        Shard count of every engine's per-site finding stores.
+        Accepted only as ``0`` or ``None``, and ignored: drains always run
+        on the calling thread.  It stays in the signature because the
+        repo benchmark's oracle (``perfbench/harness.py``) builds its
+        reference run with ``ValidationService(max_workers=0)``; any
+        other value raises :class:`ValueError` rather than silently
+        promising a thread pool.
     """
 
     def __init__(
@@ -260,8 +255,12 @@ class ValidationService:
         max_live_engines: int = 16,
         max_live_sites: int | None = None,
         max_workers: int | None = None,
-        store_shards: int = DEFAULT_SHARDS,
     ) -> None:
+        if max_workers not in (0, None):
+            raise ValueError(
+                f"max_workers must be 0 or None (drains run on the calling "
+                f"thread), got {max_workers}"
+            )
         if max_live_engines < 1:
             raise ValueError(f"max_live_engines must be >= 1, got {max_live_engines}")
         if max_live_sites is not None and max_live_sites < 1:
@@ -269,7 +268,6 @@ class ValidationService:
         self._default_settings = settings or ValidatorSettings()
         self.max_live_engines = max_live_engines
         self.max_live_sites = max_live_sites
-        self._store_shards = store_shards
         self._sessions: dict[str, _SessionState] = {}
         self._lru: OrderedDict[str, None] = OrderedDict()
         self._registry_lock = threading.Lock()
@@ -280,15 +278,6 @@ class ValidationService:
         self._evictions = 0
         self._resumes = 0
         self._rebuilds = 0
-        self._executor: ThreadPoolExecutor | None = None
-        self._refresh_executor: ThreadPoolExecutor | None = None
-        if max_workers != 0:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-drain"
-            )
-            self._refresh_executor = ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-refresh"
-            )
 
     # -- the four verbs --------------------------------------------------
 
@@ -371,7 +360,7 @@ class ValidationService:
             pending = state.pending_changes()  # before ensure: resume replays
             engine, resumed, rebuilt = self._ensure_engine(state)
             # repro-lint: disable=RL001 -- the mark names this exact journal position; refresh must run under the session lock so no edit slips between replay and report
-            self._refresh(engine)
+            engine.refresh()
             report = report_from_engine(engine, state.settings)
             mark = state.mark()
         with self._stats_lock:
@@ -441,7 +430,7 @@ class ValidationService:
         with state.lock:
             engine, resumed, rebuilt = self._ensure_engine(state, touch=False)
             # repro-lint: disable=RL001 -- the final report must reflect every applied edit; the lock excludes concurrent edits during the last refresh
-            self._refresh(engine)
+            engine.refresh()
             report = report_from_engine(engine, state.settings)
             state.engine = None
             state.snapshot = None
@@ -478,10 +467,10 @@ class ValidationService:
 
         Sessions with fewer than ``min_pending`` pending journal entries
         are skipped (their stored findings are already current).  Eligible
-        sessions are drained **in parallel** on the service's thread pool —
-        the per-session lock serializes each drain with that session's
-        edits, and sessions never share mutable state, so the tick is safe
-        whatever the interleaving.  Returns what the tick did.
+        sessions are drained one after another on the calling thread, each
+        under its own session lock, so a drain is serialized with that
+        session's edits and never holds two session locks at once.
+        Returns what the tick did.
         """
         floor = max(min_pending, 1)
         with self._registry_lock:
@@ -496,21 +485,12 @@ class ValidationService:
             if state.pending_changes() >= floor
             or (state.engine is None and state.snapshot is None)
         ]
-        if not work:
-            return stats
-
-        def drain_one(state: _SessionState) -> tuple[int, int, int]:
+        for state in work:
             with state.lock:
                 pending = state.pending_changes()  # before ensure: resume replays
                 engine, resumed, rebuilt = self._ensure_engine(state)
-                # repro-lint: disable=RL001 -- a drain tick refreshes per session under that session's lock only; cross-session parallelism comes from the executor
-                self._refresh(engine)
-                return pending, resumed, rebuilt
-        if self._executor is None or len(work) == 1:
-            results = [drain_one(state) for state in work]
-        else:
-            results = list(self._executor.map(drain_one, work))
-        for pending, resumed, rebuilt in results:
+                # repro-lint: disable=RL001 -- a drain refreshes each session under that session's lock only, one session at a time: O(dirty scope) work on the calling thread
+                engine.refresh()
             stats.drained += 1
             stats.changes += pending
             stats.resumed += resumed
@@ -572,20 +552,13 @@ class ValidationService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def shutdown(self) -> None:
-        """Stop the drain pools (open sessions stay readable inline)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._refresh_executor is not None:
-            self._refresh_executor.shutdown(wait=True)
-            self._refresh_executor = None
-
+    # The service owns no threads or handles, so leaving the context
+    # releases nothing; it stays a context manager for its callers' scoping.
     def __enter__(self) -> "ValidationService":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
+        pass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self.stats()
@@ -604,21 +577,6 @@ class ValidationService:
             raise UnknownElementError("session", name)
         return state
 
-    def _store_factory(self) -> ShardedSiteStore:
-        return ShardedSiteStore(self._store_shards)
-
-    def _refresh(self, engine: IncrementalEngine) -> None:
-        """Drain one engine, fanning its per-analysis shard refreshes onto
-        the dedicated refresh pool when the service runs threaded.
-
-        The refresh pool is distinct from the drain pool on purpose: a
-        drain task blocks on its engine's refresh units, and a saturated
-        pool cannot run subtasks submitted by its own blocked workers.
-        With two pools a single hot schema's refresh spreads across the
-        refresh pool while other sessions keep draining on the drain pool.
-        """
-        engine.refresh(executor=self._refresh_executor)
-
     def _build_engine(self, state: _SessionState) -> IncrementalEngine:
         settings = state.settings
         return IncrementalEngine(
@@ -627,7 +585,6 @@ class ValidationService:
             advisories=settings.wellformedness,
             formation_rules=settings.formation_rules,
             propagation=settings.propagation,
-            store_factory=self._store_factory,
         )
 
     def _ensure_engine(
@@ -653,9 +610,7 @@ class ValidationService:
             if state.snapshot is not None:
                 try:
                     state.engine = IncrementalEngine.resume(
-                        state.schema,
-                        state.snapshot,
-                        store_factory=self._store_factory,
+                        state.schema, state.snapshot
                     )
                     resumed = 1
                 except SchemaError:

@@ -1,47 +1,16 @@
-"""Sharded per-site finding stores.
+"""Session placement for the multi-process router: rendezvous hashing.
 
-The incremental engine keeps one finding store per analysis, keyed by
-**site key** (a constraint label, a type name, a ring role-pair — see
-:mod:`repro.patterns.base`).  Site keys are also the natural *sharding*
-unit of the whole system: a refresh touches exactly the dirty sites, so
-two refreshes over disjoint site-key sets never contend on the same shard.
-:class:`ShardedSiteStore` makes that partition explicit — a MutableMapping
-that splits its entries into a fixed number of shards by a **stable** hash
-of the site key (CRC32 of the key's repr, not Python's randomized
-``hash``), so the same site lands in the same shard across processes and
-runs.
-
-:class:`repro.patterns.incremental.IncrementalEngine` accepts the class as
-its ``store_factory``; :class:`repro.server.service.ValidationService`
-uses it for every engine it owns.  Shards are plain dicts exposed through
-:meth:`ShardedSiteStore.shards`, which is what gives the service loop its
-independent units: retraction scans walk shard by shard, and a future
-cross-process deployment can map shard index → worker without re-keying
-anything.
+:class:`repro.server.workers.WorkerPool` places whole *sessions* on its
+worker subprocesses.  The owner of a session is derived from its name
+alone — highest-random-weight (rendezvous) hashing over the worker
+indices with a keyed BLAKE2b score — so any router thread, or a restarted
+router, computes the same placement without shared state, and resizing
+the pool moves only the sessions whose rendezvous winner changed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import zlib
-from typing import Any
-
-from collections.abc import Hashable, Iterator, MutableMapping
-
-#: Default shard count — small enough that per-shard overhead is noise,
-#: large enough that disjoint edits on a big schema rarely share a shard.
-DEFAULT_SHARDS = 8
-
-
-def stable_shard_index(key: Hashable, shard_count: int) -> int:
-    """The shard a site key belongs to, stable across runs and processes.
-
-    Site keys are strings or (nested) tuples of strings, whose ``repr`` is
-    deterministic — CRC32 of that repr gives a platform-independent hash
-    (Python's built-in ``hash`` is salted per process and would migrate
-    sites between shards on every restart).
-    """
-    return zlib.crc32(repr(key).encode("utf-8")) % shard_count
 
 
 def rendezvous_score(worker_index: int, session_name: str) -> int:
@@ -86,60 +55,3 @@ def session_home(session_name: str, worker_count: int) -> int:
     changed (see :func:`rendezvous_owner`).
     """
     return rendezvous_owner(session_name, worker_count)
-
-
-class ShardedSiteStore(MutableMapping):
-    """A site-key → findings mapping partitioned into stable shards.
-
-    Behaves exactly like a dict for the engine's merge/retract loop; the
-    sharding only shows through :attr:`shard_count`, :meth:`shards` and
-    :meth:`shard_of`.
-    """
-
-    def __init__(self, shard_count: int = DEFAULT_SHARDS) -> None:
-        if shard_count < 1:
-            raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-        self._shards: tuple[dict, ...] = tuple({} for _ in range(shard_count))
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards (fixed at construction)."""
-        return len(self._shards)
-
-    def shard_of(self, key: Hashable) -> int:
-        """The shard index the key lives in."""
-        return stable_shard_index(key, len(self._shards))
-
-    def shards(self) -> tuple[dict[Any, Any], ...]:
-        """The shard dicts themselves, in index order.
-
-        Callers iterate these to process the store shard-by-shard —
-        refreshes over disjoint shards are independent (no shared keys by
-        construction).
-        """
-        return self._shards
-
-    # -- MutableMapping protocol ----------------------------------------
-
-    def __getitem__(self, key: Hashable) -> Any:
-        return self._shards[self.shard_of(key)][key]
-
-    def __setitem__(self, key: Hashable, value: Any) -> None:
-        self._shards[self.shard_of(key)][key] = value
-
-    def __delitem__(self, key: Hashable) -> None:
-        del self._shards[self.shard_of(key)][key]
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._shards[self.shard_of(key)]
-
-    def __iter__(self) -> Iterator[Hashable]:
-        for shard in self._shards:
-            yield from shard
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sizes = [len(shard) for shard in self._shards]
-        return f"ShardedSiteStore(shards={sizes})"

@@ -36,9 +36,10 @@ wire verb:
 new locking: every request handler is a plain blocking call into the
 backend (per-session locks serialize edits with drains), bridged off the
 event loop with :meth:`loop.run_in_executor`.  The event loop itself only
-parses HTTP and JSON; the background drain task ticks the backend's own
-thread pool (or worker processes), so a slow drain never blocks request
-handling.
+parses HTTP and JSON.  The background drain task runs the backend's tick
+on an executor thread as well: in-process the drain runs on that thread,
+one session lock at a time; behind a router it runs in the worker
+processes.  Either way a slow drain never blocks request handling.
 
 **Auth.**  With ``token`` set, every ``/v1/*`` request must carry
 ``Authorization: Bearer <token>`` (compared constant-time); failures get
@@ -181,7 +182,7 @@ class LocalBackend:
         self._service.drain()
 
     def shutdown(self) -> None:
-        self._service.shutdown()
+        """Nothing to stop: the service owns no threads or processes."""
 
     # -- verb handlers (blocking) -----------------------------------------
 
@@ -649,8 +650,8 @@ class WireServer:
         except WireError as error:
             return error.http_status, error.to_payload()
         except RuntimeError as error:
-            # The executor (or a service pool) refusing new work is the
-            # shutdown race; any other RuntimeError is a genuine bug.
+            # The executor (or the router's fan-out pool) refusing new work
+            # is the shutdown race; any other RuntimeError is a genuine bug.
             if self._closing or "shutdown" in str(error):
                 wrapped = WireError(SERVER_SHUTDOWN, f"server is shutting down: {error}")
             else:
@@ -675,7 +676,7 @@ class ServerThread:
     The synchronous-world adapter used by the tests, the benchmark and any
     embedding that is not already inside asyncio::
 
-        with ServerThread(max_workers=4) as server:
+        with ServerThread() as server:
             client = ServiceClient(server.base_url)
             ...
 

@@ -1,11 +1,9 @@
 """Multi-process shard workers behind the wire protocol.
 
 The single-process wire front (:mod:`repro.server.wire`) tops out at one
-GIL: every session's drain and shard refresh competes for the same
-interpreter no matter how many threads the service owns.  The CRC32 site
-placement of :mod:`repro.server.sharding` is *process-stable by design*,
-and this module cashes that in: a **router** (:class:`WorkerPool`) owns N
-**worker subprocesses**, each running a full
+GIL: every session's drain competes for the same interpreter.  This
+module goes past it with processes: a **router** (:class:`WorkerPool`)
+owns N **worker subprocesses**, each running a full
 :class:`~repro.server.service.ValidationService`, and forwards every
 ``open/edit/report/check/close/drain`` to the worker that owns the
 session — placement is :func:`repro.server.sharding.session_home`,
@@ -163,9 +161,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 def _worker_main(conn: Connection, config: dict[str, Any]) -> None:
     """Entry point of one worker subprocess: a ValidationService behind a
-    serial JSON frame loop (the router serializes requests per worker, so
-    the loop needs no concurrency of its own; the service's internal pools
-    still parallelize drains across this worker's sessions)."""
+    serial JSON frame loop.  The router serializes requests per worker, so
+    the loop needs no concurrency of its own, and every drain and refresh
+    runs on this one thread; a pool of N workers is what puts N cores to
+    work."""
     import signal
 
     from repro.server.service import ValidationService
@@ -213,7 +212,6 @@ def _worker_main(conn: Connection, config: dict[str, Any]) -> None:
             conn.send_bytes(json.dumps(response).encode("utf-8"))
         except (BrokenPipeError, OSError):
             break
-    service.shutdown()
 
 
 def _worker_dispatch(
@@ -261,7 +259,12 @@ def _worker_dispatch(
 
 class WorkerDied(Exception):
     """Internal: the worker at the other end of a pipe is gone (EOF, broken
-    pipe, or response timeout).  Callers revive the worker and retry."""
+    pipe, or response timeout).  ``handle`` names the dead worker, so the
+    router's revive-and-retry loop knows which one to replace."""
+
+    def __init__(self, message: str, handle: WorkerHandle | None = None) -> None:
+        super().__init__(message)
+        self.handle = handle
 
 
 class WorkerHandle:
@@ -338,7 +341,8 @@ class WorkerHandle:
             if not self._conn.poll(timeout):
                 raise WorkerDied(
                     f"worker {self.index} (pid {self.process.pid}) did not "
-                    f"answer within {timeout:.0f}s"
+                    f"answer within {timeout:.0f}s",
+                    self,
                 )
             raw = self._conn.recv_bytes(MAX_FRAME_BYTES)
             return json.loads(raw.decode("utf-8"))
@@ -348,7 +352,8 @@ class WorkerHandle:
         except (EOFError, OSError, ValueError) as error:
             self.kill()
             raise WorkerDied(
-                f"worker {self.index} (pid {self.process.pid}) is gone: {error}"
+                f"worker {self.index} (pid {self.process.pid}) is gone: {error}",
+                self,
             ) from error
 
     def request(
@@ -399,7 +404,8 @@ class WorkerHandle:
         except (BrokenPipeError, OSError, ValueError) as error:
             self.kill()
             raise WorkerDied(
-                f"worker {self.index} (pid {self.process.pid}) is gone: {error}"
+                f"worker {self.index} (pid {self.process.pid}) is gone: {error}",
+                self,
             ) from error
         return self._recv(timeout=timeout if timeout is not None else self._timeout)
 
@@ -499,8 +505,7 @@ class WorkerPool:
         loses sessions).
     **service_kwargs:
         Forwarded to each worker's :class:`ValidationService`
-        (``max_workers``, ``max_live_engines``, ``max_live_sites``,
-        ``store_shards``).
+        (``max_live_engines``, ``max_live_sites``).
     """
 
     def __init__(
@@ -676,11 +681,11 @@ class WorkerPool:
             # stalling for the whole replay would get the router restarted
             # by its orchestrator exactly mid-recovery.  Any direct
             # request racing this still revives synchronously via
-            # :meth:`_forward`; the counters record whichever won.
+            # :meth:`_retrying`; the counters record whichever won.
             if self._closing:
                 return None, "unreachable"
             try:
-                future = self._fanout.submit(self._revive_quietly, index, handle)
+                future = self._fanout.submit(self._revive_quietly, handle)
             except RuntimeError:  # probe raced shutdown(): executor is gone
                 return None, "unreachable"
             future.add_done_callback(lambda f: f.exception())  # consumed
@@ -692,11 +697,11 @@ class WorkerPool:
             return handle.last_stats, "ok"
         return None, "error"
 
-    def _revive_quietly(self, index: int, dead: WorkerHandle) -> None:
+    def _revive_quietly(self, dead: WorkerHandle) -> None:
         """Background revival for the health probe (failures are left for
         the next direct request to surface as typed errors)."""
         try:
-            self._revive(index, dead)
+            self._revive(dead)
         except WireError:
             pass
 
@@ -773,7 +778,9 @@ class WorkerPool:
                 entry = _RoutedSession(name, session_home(name, self._count))
                 self._sessions[name] = entry
         try:
-            return self._open_routed(entry, payload)
+            return self._retrying(
+                "open", lambda retried: self._open_routed(entry, payload)
+            )
         except WireError:
             with self._registry_lock:
                 if not entry.opened and self._sessions.get(name) is entry:
@@ -781,34 +788,17 @@ class WorkerPool:
             raise
 
     def _open_routed(self, entry: _RoutedSession, payload: Payload) -> Payload:
-        dead: WorkerHandle | None = None
-        dead_home = -1
-        failure: WorkerDied | None = None
-        for _attempt in range(2):
-            if dead is not None:
-                self._revive(dead_home, dead)
-            with entry.lock:
-                handle = self._handles[entry.home]
-                try:
-                    # repro-lint: disable=RL001 -- journal order must match worker order: the round trip completes under the session lock
-                    response = handle.checked(
-                        "open", payload, timeout=self._slow_timeout
-                    )
-                except WorkerDied as error:
-                    dead, dead_home, failure = handle, entry.home, error
-                    continue
-                # Log-before-ack: the open record is durable before the
-                # client hears the session exists.
-                self._log_open(entry, payload, handle)
-                entry.opened = True
-                entry.open_payload = payload
-                entry.edits = []
-                return response
-        raise WireError(
-            WORKER_FAILED,
-            f"worker {dead_home} kept failing after revival "
-            f"('open' not answered: {failure})",
-        )
+        """One attempt of ``open``: the round trip, then the durable open
+        record before the client hears the session exists."""
+        with entry.lock:
+            handle = self._handles[entry.home]
+            # repro-lint: disable=RL001 -- journal order must match worker order: the round trip completes under the session lock
+            response = handle.checked("open", payload, timeout=self._slow_timeout)
+            self._log_open(entry, payload, handle)
+            entry.opened = True
+            entry.open_payload = payload
+            entry.edits = []
+            return response
 
     def _edit(self, payload: Payload) -> Payload:
         name = self._session_name(payload)
@@ -817,57 +807,45 @@ class WorkerPool:
         if entry is None:
             # Never opened here: let the worker produce the typed 404.
             return self._forward(session_home(name, self._count), "edit", payload)
-        return self._edit_routed(entry, payload)
+        return self._retrying(
+            "edit", lambda retried: self._edit_routed(entry, payload, retried)
+        )
 
-    def _edit_routed(self, entry: _RoutedSession, payload: Payload) -> Payload:
-        """One journaled edit: worker round trip, durable log append, ack.
+    def _edit_routed(
+        self, entry: _RoutedSession, payload: Payload, retried: bool
+    ) -> Payload:
+        """One attempt of a journaled edit: worker round trip, durable log
+        append, ack.
 
         The invariant is **log-before-ack** (lint rule RL009): every path
         that returns an acknowledgement calls :meth:`_log_append` first.
         The first attempt logs after the worker accepts (a rejected edit
-        is never journaled); the *retry* after a worker death logs before
-        dispatch — the first death left it unknowable whether the edit
+        is never journaled).  The *retry* after a worker death logs before
+        dispatch: the first death left it unknowable whether the edit
         applied, so if the retry's worker also dies after maybe applying
-        it, the record must already be durable for the next replay (the
-        PR-10 fix: the old journal-on-success-only retry dropped exactly
-        that record).  A retry the worker then *rejects* is rolled back
-        from both journals — a typed rejection proves it never applied.
+        it, the record must already be durable for the next replay.  That
+        is also why a :class:`WorkerDied` leaves the retry's journal entry
+        in place.  A retry the worker then *rejects* is rolled back from
+        both journals: a typed rejection proves it never applied.
         """
-        dead: WorkerHandle | None = None
-        dead_home = -1
-        failure: WorkerDied | None = None
-        for attempt in range(2):
-            if dead is not None:
-                self._revive(dead_home, dead)
-            with entry.lock:
-                handle = self._handles[entry.home]
-                retried = attempt > 0
-                rollback = -1
-                if retried:
-                    rollback = self._log_append(entry, KIND_EDIT, payload, handle)
-                    entry.edits.append(payload)
-                try:
-                    # repro-lint: disable=RL001 -- journal order must match worker order: the round trip completes under the session lock
-                    response = handle.checked("edit", payload)
-                except WorkerDied as error:
-                    # The retry's journal entry (if any) is deliberately
-                    # kept: the worker may have applied the edit.
-                    dead, dead_home, failure = handle, entry.home, error
-                    continue
-                except WireError:
-                    if retried:  # typed rejection: definitively not applied
-                        entry.edits.pop()
-                        self._log_rollback(entry, rollback)
-                    raise
-                if not retried:
-                    self._log_append(entry, KIND_EDIT, payload, handle)
-                # repro-lint: disable=RL001 -- compaction inside the ack must be atomic with the journal window it collapses
-                return self._ack_edit(entry, payload, response, journaled=retried)
-        raise WireError(
-            WORKER_FAILED,
-            f"worker {dead_home} kept failing after revival "
-            f"('edit' not answered: {failure})",
-        )
+        with entry.lock:
+            handle = self._handles[entry.home]
+            rollback = -1
+            if retried:
+                rollback = self._log_append(entry, KIND_EDIT, payload, handle)
+                entry.edits.append(payload)
+            try:
+                # repro-lint: disable=RL001 -- journal order must match worker order: the round trip completes under the session lock
+                response = handle.checked("edit", payload)
+            except WireError:
+                if retried:  # typed rejection: definitively not applied
+                    entry.edits.pop()
+                    self._log_rollback(entry, rollback)
+                raise
+            if not retried:
+                self._log_append(entry, KIND_EDIT, payload, handle)
+            # repro-lint: disable=RL001 -- compaction inside the ack must be atomic with the journal window it collapses
+            return self._ack_edit(entry, payload, response, journaled=retried)
 
     def _ack_edit(
         self,
@@ -898,43 +876,30 @@ class WorkerPool:
                 session_home(name, self._count), "close", payload,
                 timeout=self._slow_timeout,
             )
-        return self._close_routed(entry, payload)
+        return self._retrying(
+            "close", lambda retried: self._close_routed(entry, payload)
+        )
 
     def _close_routed(self, entry: _RoutedSession, payload: Payload) -> Payload:
-        dead: WorkerHandle | None = None
-        dead_home = -1
-        failure: WorkerDied | None = None
-        for _attempt in range(2):
-            if dead is not None:
-                self._revive(dead_home, dead)
-            with entry.lock:
-                handle = self._handles[entry.home]
-                try:
-                    # repro-lint: disable=RL001 -- journal order must match worker order: the round trip completes under the session lock
-                    response = handle.checked(
-                        "close", payload, timeout=self._slow_timeout
-                    )
-                except WorkerDied as error:
-                    dead, dead_home, failure = handle, entry.home, error
-                    continue
-                self._discard_log(entry)
-                with self._registry_lock:
-                    if self._sessions.get(entry.name) is entry:
-                        del self._sessions[entry.name]
-                return response
-        raise WireError(
-            WORKER_FAILED,
-            f"worker {dead_home} kept failing after revival "
-            f"('close' not answered: {failure})",
-        )
+        """One attempt of ``close``: the final report, then the session's
+        log and route are dropped."""
+        with entry.lock:
+            handle = self._handles[entry.home]
+            # repro-lint: disable=RL001 -- journal order must match worker order: the round trip completes under the session lock
+            response = handle.checked("close", payload, timeout=self._slow_timeout)
+            self._discard_log(entry)
+            with self._registry_lock:
+                if self._sessions.get(entry.name) is entry:
+                    del self._sessions[entry.name]
+            return response
 
     def _slow_routed(self, verb: str, payload: Payload) -> Payload:
         """Route a read verb (report/check) to the session's live home.
 
-        Runs under the session lock so a request can never race a live
-        migration onto a worker that already forgot the session; unknown
-        names fall through to the rendezvous winner, whose worker answers
-        the typed 404.
+        Each attempt holds the session lock, so a request can never race
+        a live migration onto a worker that already forgot the session;
+        unknown names fall through to the rendezvous winner, whose worker
+        answers the typed 404.
         """
         name = self._session_name(payload)
         with self._registry_lock:
@@ -944,25 +909,14 @@ class WorkerPool:
                 session_home(name, self._count), verb, payload,
                 timeout=self._slow_timeout,
             )
-        dead: WorkerHandle | None = None
-        dead_home = -1
-        failure: WorkerDied | None = None
-        for _attempt in range(2):
-            if dead is not None:
-                self._revive(dead_home, dead)
+
+        def attempt(retried: bool) -> Payload:
             with entry.lock:
                 handle = self._handles[entry.home]
-                try:
-                    # repro-lint: disable=RL001 -- routed reads hold the session lock so migration cannot strand them on an old owner
-                    return handle.checked(verb, payload, timeout=self._slow_timeout)
-                except WorkerDied as error:
-                    dead, dead_home, failure = handle, entry.home, error
-                    continue
-        raise WireError(
-            WORKER_FAILED,
-            f"worker {dead_home} kept failing after revival "
-            f"({verb!r} not answered: {failure})",
-        )
+                # repro-lint: disable=RL001 -- routed reads hold the session lock so migration cannot strand them on an old owner
+                return handle.checked(verb, payload, timeout=self._slow_timeout)
+
+        return self._retrying(verb, attempt)
 
     def _drain(self, payload: Payload) -> Payload:
         min_pending = payload.get("min_pending")
@@ -1013,6 +967,33 @@ class WorkerPool:
 
     # -- forwarding, death detection, re-homing ----------------------------
 
+    def _retrying(self, verb: str, attempt: Callable[[bool], Payload]) -> Payload:
+        """The one revive-and-retry loop behind every routed verb.
+
+        ``attempt(retried)`` is the verb's own body: it picks the worker
+        that owns the request (under the session lock, for a journaled
+        session) and makes the round trip.  When the first attempt finds
+        that worker dead, the worker is revived (:meth:`_revive`) and the
+        body runs once more with ``retried=True``.  By then the body has
+        released any session lock it took, so a request waiting on the
+        revival holds none, and the revival's replay sweep (which takes
+        session locks one at a time) cannot deadlock against it.  A second
+        death is the typed ``worker_failed``, naming the verb.
+        """
+        try:
+            return attempt(False)
+        except WorkerDied as error:
+            assert error.handle is not None  # every round trip names its worker
+            self._revive(error.handle)
+        try:
+            return attempt(True)
+        except WorkerDied as error:
+            raise WireError(
+                WORKER_FAILED,
+                f"worker kept failing after revival ({verb!r} not answered: "
+                f"{error})",
+            ) from error
+
     def _forward(
         self,
         index: int,
@@ -1021,28 +1002,17 @@ class WorkerPool:
         *,
         timeout: float | None = None,
     ) -> Payload:
-        """One unjournaled round trip with revive-and-retry (drain ticks,
-        and verbs for sessions this router never journaled — the worker
-        backstops those with the typed 404).  The revive wait never holds
-        a session lock, so it cannot deadlock against the replay sweep."""
-        dead: WorkerHandle | None = None
-        failure: WorkerDied | None = None
-        for _attempt in range(2):
-            if dead is not None:
-                self._revive(index, dead)
+        """One unjournaled round trip to worker ``index``, revived and
+        retried like every routed verb: drain ticks, and verbs for sessions
+        this router never journaled (the worker backstops those with the
+        typed 404)."""
+
+        def attempt(retried: bool) -> Payload:
             if index >= len(self._handles):  # raced a shrink
                 raise WireError(WORKER_FAILED, f"worker {index} was retired")
-            handle = self._handles[index]
-            try:
-                return handle.checked(verb, payload, timeout=timeout)
-            except WorkerDied as error:
-                dead, failure = handle, error
-                continue
-        raise WireError(
-            WORKER_FAILED,
-            f"worker {index} kept failing after revival "
-            f"({verb!r} not answered: {failure})",
-        )
+            return self._handles[index].checked(verb, payload, timeout=timeout)
+
+        return self._retrying(verb, attempt)
 
     def _compact(self, entry: _RoutedSession) -> None:
         """Collapse a session's journal to a schema-DSL snapshot.
@@ -1075,16 +1045,17 @@ class WorkerPool:
         entry.open_payload = refreshed
         entry.edits = []
 
-    def _revive(self, index: int, dead: WorkerHandle) -> None:
+    def _revive(self, dead: WorkerHandle) -> None:
         """Replace a dead worker and re-home its sessions by replay.
 
         Serialized on one lock: concurrent observers of the same death
         queue up here and find the worker already replaced (``is not
-        dead``).  Each session's journal is copied and replayed under its
-        own lock, taken one at a time — threads blocked on this revival
-        never hold a session lock (see :meth:`_forward`), so the sweep
-        cannot deadlock.
+        dead``).  Each session's journal is replayed under its own lock,
+        taken one at a time — threads blocked on this revival never hold
+        a session lock (see :meth:`_retrying`), so the sweep cannot
+        deadlock.
         """
+        index = dead.index
         with self._revive_lock:
             if index >= len(self._handles):
                 return  # a shrink already retired this worker index
@@ -1113,20 +1084,14 @@ class WorkerPool:
                     if entry.home == index
                 ]
             rehomed = 0
-            dropped: list[str] = []
             for entry in homed:
                 with entry.lock:
                     if not entry.opened:
                         continue
                     try:
                         # repro-lint: disable=RL001 -- re-homing replays the journal under the session lock so no edit interleaves mid-replay
-                        fresh.checked(
-                            "open", entry.open_payload, timeout=self._slow_timeout
-                        )
-                        for edit in entry.edits:
-                            # repro-lint: disable=RL001 -- same replay transaction as the open above
-                            fresh.checked("edit", edit)
-                        rehomed += 1
+                        if self._replay(entry, fresh):
+                            rehomed += 1
                     except WorkerDied as error:
                         # repro-lint: disable=RL001 -- the replacement just died; joining it is bounded and nothing else can hold this fresh handle yet
                         fresh.reap()
@@ -1135,28 +1100,61 @@ class WorkerPool:
                             f"replacement worker {index} died during re-homing: "
                             f"{error}",
                         ) from error
-                    except WireError:
-                        # The journal no longer replays (should not happen:
-                        # replay is deterministic) — drop the session rather
-                        # than poison the whole worker, and close whatever
-                        # prefix already applied so the fresh worker cannot
-                        # keep serving a half-replayed schema under the
-                        # dropped name.
-                        dropped.append(entry.name)
-                        self._discard_log(entry)
-                        try:
-                            # repro-lint: disable=RL001 -- closing the half-replayed prefix is part of the same replay transaction
-                            fresh.checked("close", {"session": entry.name})
-                        except (WorkerDied, WireError):
-                            pass
-            if dropped:
-                with self._registry_lock:
-                    for name in dropped:
-                        self._sessions.pop(name, None)
             self._handles[index] = fresh
             self._restarts += 1
             self._rehomed_sessions += rehomed
-            self._dropped_sessions += len(dropped)
+
+    def _replay(
+        self,
+        entry: _RoutedSession,
+        receiver: WorkerHandle,
+        previous: WorkerHandle | None = None,
+    ) -> bool:
+        """Rebuild one session in ``receiver``'s worker from its journal:
+        the open payload, then every edit since.
+
+        The one replay behind re-homing after a worker death
+        (:meth:`_revive`), live migration (:meth:`_migrate_session`) and
+        recovery after a router restart (:meth:`_recover`).  The caller
+        holds ``entry.lock``, or owns an entry no other thread can see
+        yet.  Returns ``False`` when the journal no longer replays, after
+        dropping the session everywhere (:meth:`_drop`); ``previous`` is
+        the worker a migration is moving the session off.
+        :class:`WorkerDied` propagates: what a dead receiver means is for
+        the caller to decide.
+        """
+        try:
+            receiver.checked("open", entry.open_payload, timeout=self._slow_timeout)
+            for edit in entry.edits:
+                receiver.checked("edit", edit)
+        except WireError:
+            self._drop(entry, receiver, previous)
+            return False
+        return True
+
+    def _drop(
+        self,
+        entry: _RoutedSession,
+        receiver: WorkerHandle,
+        previous: WorkerHandle | None,
+    ) -> None:
+        """Drop a session whose journal no longer replays (should not
+        happen: replay is deterministic), everywhere at once: its durable
+        log, the half-replayed prefix on ``receiver``, the copy still on
+        ``previous`` (a migration's old owner), and its route.  No worker
+        keeps serving the name, and re-opening it starts clean."""
+        self._discard_log(entry)
+        for handle in (receiver, previous):
+            if handle is None:
+                continue
+            try:
+                handle.checked("forget", {"session": entry.name})
+            except (WorkerDied, WireError):
+                pass  # the worker is gone or never held it: nothing to free
+        with self._registry_lock:
+            if self._sessions.get(entry.name) is entry:
+                del self._sessions[entry.name]
+            self._dropped_sessions += 1
 
     # -- runtime resize and live migration ---------------------------------
 
@@ -1253,13 +1251,15 @@ class WorkerPool:
                 if target == entry.home or not entry.opened:
                     continue
                 # repro-lint: disable=RL001 -- migration replays the journal under the session lock so no edit interleaves mid-copy
-                self._migrate_session(entry, target)
-                migrated += 1
+                if self._migrate_session(entry, target):
+                    migrated += 1
         return migrated
 
-    def _migrate_session(self, entry: _RoutedSession, target: int) -> None:
+    def _migrate_session(self, entry: _RoutedSession, target: int) -> bool:
         """Replay one session into ``target``, then forget it at the old
-        owner.  Caller holds ``entry.lock``.
+        owner.  Caller holds ``entry.lock``.  Returns whether the session
+        moved; ``False`` means its journal no longer replays and it was
+        dropped (:meth:`_drop`).
 
         Owner-change-only migration is crash-safe in either direction: a
         crash before the ``forget`` leaves both workers holding the
@@ -1268,30 +1268,15 @@ class WorkerPool:
         memory, is the source of truth.
         """
         source = self._handles[entry.home]
-        fresh = self._handles[target]
         try:
-            fresh.checked("open", entry.open_payload, timeout=self._slow_timeout)
-            for edit in entry.edits:
-                fresh.checked("edit", edit)
+            if not self._replay(entry, self._handles[target], source):
+                return False
         except WorkerDied as error:
             raise WireError(
                 WORKER_FAILED,
                 f"worker {target} died while receiving session "
                 f"{entry.name!r}: {error}",
             ) from error
-        except WireError:
-            # The journal no longer replays (should not happen: replay is
-            # deterministic) — drop the session rather than leave it split
-            # across two workers, mirroring the revival path.
-            self._discard_log(entry)
-            try:
-                fresh.checked("close", {"session": entry.name})
-            except (WorkerDied, WireError):
-                pass
-            with self._registry_lock:
-                self._sessions.pop(entry.name, None)
-            self._dropped_sessions += 1
-            return
         hook = self._migration_fault_hook
         if hook is not None:
             hook(entry.name)
@@ -1302,6 +1287,7 @@ class WorkerPool:
             # the authoritative copy either way.
             pass
         entry.home = target
+        return True
 
     # -- the durable session log -------------------------------------------
 
@@ -1378,7 +1364,8 @@ class WorkerPool:
         rendezvous owner, in parallel across workers.  Torn or corrupt
         log tails were already skipped (and counted) by
         :meth:`repro.server.durability.LogStore.recover`; a session whose
-        journal no longer replays is dropped and counted, never raised.
+        journal no longer replays is dropped everywhere and counted
+        (:meth:`_drop`), never raised.
         """
         assert self._logs is not None
         logs = self._logs
@@ -1390,40 +1377,28 @@ class WorkerPool:
             home = session_home(recovered.name, self._count)
             by_home.setdefault(home, []).append(recovered)
 
-        def replay_home(
-            home: int, batch: list[RecoveredSession]
-        ) -> tuple[int, int]:
+        def replay_home(home: int, batch: list[RecoveredSession]) -> int:
             handle = self._handles[home]
-            recovered_count = dropped_count = 0
+            recovered_count = 0
             for recovered in batch:
                 entry = _RoutedSession(recovered.name, home)
                 entry.opened = True
                 entry.open_payload = recovered.open_payload
                 entry.edits = list(recovered.edits)
-                try:
-                    handle.checked(
-                        "open", recovered.open_payload, timeout=self._slow_timeout
-                    )
-                    for edit in recovered.edits:
-                        handle.checked("edit", edit)
-                except WireError:
-                    logs.discard(recovered.name)
-                    dropped_count += 1
+                if not self._replay(entry, handle):
                     continue
                 entry.log = logs.open_log(recovered.name)
                 with self._registry_lock:
                     self._sessions[recovered.name] = entry
                 recovered_count += 1
-            return recovered_count, dropped_count
+            return recovered_count
 
         futures = [
             self._fanout.submit(replay_home, home, batch)
             for home, batch in by_home.items()
         ]
         for future in futures:
-            recovered_count, dropped_count = future.result()  # WorkerDied propagates
-            self._recovered_sessions += recovered_count
-            self._dropped_sessions += dropped_count
+            self._recovered_sessions += future.result()  # WorkerDied propagates
 
     def _spawn(self, index: int, *, defer_handshake: bool = False) -> WorkerHandle:
         return WorkerHandle(

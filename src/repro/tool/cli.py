@@ -9,13 +9,13 @@ Usage::
     orm-validate schema.orm --verbalize          # pseudo-NL rendering first
     orm-validate schema.orm --complete 3         # add bounded complete check
     orm-validate schema.orm --format json
-    orm-validate a.orm b.orm c.orm --jobs 4      # batch: one session per file,
-                                                 # parallel batched drains
+    orm-validate a.orm b.orm c.orm               # batch: one session per file,
+                                                 # batched journal drains
     orm-validate --batch schema.orm              # force batch mode for one file
 
 With several schema files (or ``--batch``) validation runs through the
 multi-session :class:`repro.server.ValidationService`: one session per
-file, journals drained in parallel batches on a thread pool (``--jobs``).
+file, journals drained in batches.
 With ``--server URL`` the batch is validated by a *remote*
 ``orm-validate serve`` instance over the JSON wire protocol instead of an
 in-process service.
@@ -88,16 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action="store_true",
         help="serve the schemas from a multi-session ValidationService "
-        "(one session per file, batched parallel journal drains) even "
+        "(one session per file, batched journal drains) even "
         "for a single file",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="drain-pool width in batch mode (0 = drain inline; default: "
-        "thread-pool default)",
     )
     parser.add_argument(
         "--server",
@@ -269,7 +261,7 @@ def _run_batch(paths: list[Path], settings: ValidatorSettings, args) -> int:
     if args.server is not None:
         return _run_remote_batch(schemas, settings, args)
     verdicts: list[dict | None] = [None] * len(schemas)
-    with ValidationService(settings=settings, max_workers=args.jobs) as service:
+    with ValidationService(settings=settings) as service:
         handles = [
             service.open(f"{index}:{path}", schema=schema)
             for index, (path, schema) in enumerate(schemas)
@@ -456,13 +448,6 @@ def _run_serve(argv: list[str]) -> int:
         help="period of the background service tick (0 disables it)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="drain/refresh pool width per service (0 = inline drains)",
-    )
-    parser.add_argument(
         "--max-live-engines", type=int, default=16, help="live-engine count cap"
     )
     parser.add_argument(
@@ -507,7 +492,6 @@ def _run_serve(argv: list[str]) -> int:
             drain_interval=args.drain_interval or None,
             max_live_engines=args.max_live_engines,
             max_live_sites=args.max_live_sites,
-            max_workers=args.jobs,
             **extra,
         )
         host, port = await server.start()

@@ -119,7 +119,7 @@ def test_creation_site_filter_leaves_foreign_locks_alone(tracing) -> None:
 def test_service_locks_are_traced_and_a_real_run_is_clean(tracing) -> None:
     from repro.server.service import ValidationService
 
-    with ValidationService(max_workers=2) as service:
+    with ValidationService() as service:
         assert isinstance(service._registry_lock, TracedLock)
         assert isinstance(service._stats_lock, TracedLock)
         handle = service.open("design")

@@ -41,7 +41,7 @@ def semantic(verdict_payload: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def server():
-    with ServerThread(max_workers=2, drain_interval=0.02, **_backend_kwargs()) as thread:
+    with ServerThread(drain_interval=0.02, **_backend_kwargs()) as thread:
         yield thread
 
 
@@ -67,7 +67,7 @@ def _sat_script(edit) -> None:
 
 def _inprocess_verdict(script, goal="strong", max_domain=4) -> dict:
     """The same script checked through an in-process LocalBackend."""
-    with ValidationService(max_workers=0) as service:
+    with ValidationService() as service:
         backend = LocalBackend(service)
         service.open("expected")
         script(lambda verb, *args: service.edit("expected", verb, *args))
@@ -196,7 +196,7 @@ class TestServicePayloadShape:
         import json
 
         def run():
-            with ValidationService(max_workers=0) as service:
+            with ValidationService() as service:
                 service.open("det")
                 _sat_script(lambda verb, *args: service.edit("det", verb, *args))
                 verdict = service.check("det", "strong", max_domain=3)
@@ -208,7 +208,7 @@ class TestServicePayloadShape:
 
     def test_verdict_payload_carries_solver_stats(self):
         """The CDCL statistics are observable on the wire payload."""
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             service.open("stats")
             _sat_script(lambda verb, *args: service.edit("stats", verb, *args))
             verdict = service.check("stats", "strong", max_domain=3)
@@ -218,7 +218,7 @@ class TestServicePayloadShape:
             assert payload[stat] >= 0
 
     def test_service_check_validates_max_domain(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             service.open("neg")
             with pytest.raises(ValueError):
                 service.check("neg", max_domain=-1)

@@ -41,7 +41,7 @@ def assert_report_exact(handle, context=""):
 
 class TestSessionApi:
     def test_open_edit_report_close_roundtrip(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("design")
             handle.edit("add_entity", "Person")
             handle.edit("add_entity", "Company", ("c1", "c2"))
@@ -58,7 +58,7 @@ class TestSessionApi:
             assert "design" not in service.names()
 
     def test_edits_do_not_validate_until_drained(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("lazy")
             handle.edit("add_entity", "A")
             handle.edit("add_entity", "B")
@@ -68,7 +68,7 @@ class TestSessionApi:
             assert handle.pending_changes == 0
 
     def test_session_style_and_schema_style_verbs(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("verbs")
             handle.edit("add_entity", "T")  # session verb
             handle.edit("add_entity_type", "U")  # schema mutator name
@@ -76,7 +76,7 @@ class TestSessionApi:
             assert handle.schema.has_object_type("U")
 
     def test_unknown_verb_session_and_duplicate_open(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             service.open("one")
             with pytest.raises(ValueError):
                 service.open("one")
@@ -89,7 +89,7 @@ class TestSessionApi:
 
     def test_open_adopts_an_existing_schema(self):
         schema = generate_schema(GeneratorConfig(num_types=5, num_facts=4, seed=9))
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("adopted", schema=schema)
             assert handle.schema is schema
             report = handle.report()
@@ -99,7 +99,7 @@ class TestSessionApi:
             )
 
     def test_per_session_settings_are_isolated(self):
-        with ValidationService(settings=ALL_FAMILIES, max_workers=0) as service:
+        with ValidationService(settings=ALL_FAMILIES) as service:
             plain = service.open("plain", settings=ValidatorSettings())
             loaded = service.open("loaded")
             assert plain.settings.formation_rules is False
@@ -110,7 +110,7 @@ class TestSessionApi:
     def test_settings_toggle_rebuilds_the_engine(self):
         """Flipping an analysis family after open() takes effect on the
         next drain (the engine is rebuilt under the new family profile)."""
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("toggle")
             handle.edit("add_entity", "T")
             handle.edit("add_fact", "f", "r1", "T", "r2", "T")
@@ -130,9 +130,7 @@ class TestBatchedDrainExactness:
         """Random edits interleaved across sessions + periodic ticks ==
         per-session from-scratch reports, through eviction and resume."""
         rng = random.Random(seed)
-        with ValidationService(
-            settings=ALL_FAMILIES, max_live_engines=2, max_workers=0, store_shards=4
-        ) as service:
+        with ValidationService(settings=ALL_FAMILIES, max_live_engines=2) as service:
             handles = [service.open(f"s{i}") for i in range(5)]
             for step in range(80):
                 handle = rng.choice(handles)
@@ -146,7 +144,7 @@ class TestBatchedDrainExactness:
                 assert_report_exact(handle, f"seed {seed} session {handle.name}")
 
     def test_drain_skips_clean_sessions(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             busy = service.open("busy")
             service.open("idle")
             busy.edit("add_entity", "T")
@@ -155,7 +153,7 @@ class TestBatchedDrainExactness:
             assert stats.drained == 1
 
     def test_min_pending_batches_small_journals(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("thresholded")
             handle.edit("add_entity", "A")
             assert service.drain(min_pending=5).drained == 0
@@ -165,11 +163,53 @@ class TestBatchedDrainExactness:
             assert stats.drained == 1 and stats.changes == 6
 
 
+class TestInlineDrains:
+    """Drains and refreshes run on the calling thread; there is no pool."""
+
+    @pytest.mark.parametrize(
+        "max_workers, accepted", [(None, True), (0, True), (1, False), (4, False)]
+    )
+    def test_max_workers_accepts_only_inline_drains(self, max_workers, accepted):
+        if not accepted:
+            with pytest.raises(ValueError, match="max_workers"):
+                ValidationService(max_workers=max_workers)
+            return
+        with ValidationService(settings=ALL_FAMILIES, max_workers=max_workers) as service:
+            handle = service.open("inline")
+            handle.edit("add_entity", "T")
+            assert service.drain().drained == 1
+            assert_report_exact(handle)
+
+    def test_every_refresh_runs_on_the_calling_thread(self, monkeypatch):
+        caller = threading.current_thread()
+        refreshed_on: list[threading.Thread] = []
+        refresh_analysis = IncrementalEngine._refresh_analysis
+
+        def recording(engine, check, scope):
+            refreshed_on.append(threading.current_thread())
+            return refresh_analysis(engine, check, scope)
+
+        monkeypatch.setattr(IncrementalEngine, "_refresh_analysis", recording)
+        before = set(threading.enumerate())
+        rng = random.Random(11)
+        with ValidationService(settings=ALL_FAMILIES) as service:
+            handles = [service.open(f"s{i}") for i in range(4)]
+            for step in range(40):
+                apply_random_edit(rng.choice(handles).schema, rng)
+                if step % 5 == 0:
+                    service.drain()
+            service.drain()
+            spawned = set(threading.enumerate()) - before
+            for handle in handles:
+                assert_report_exact(handle, f"session {handle.name}")
+        assert refreshed_on, "the drains must have refreshed some analysis"
+        assert set(refreshed_on) == {caller}
+        assert not spawned, f"the service started threads: {spawned}"
+
+
 class TestEvictionAndResume:
     def test_suspended_sessions_resume_by_replay(self):
-        with ValidationService(
-            settings=ALL_FAMILIES, max_live_engines=1, max_workers=0
-        ) as service:
+        with ValidationService(settings=ALL_FAMILIES, max_live_engines=1) as service:
             first = service.open("first")
             second = service.open("second")  # evicts "first"
             first.edit("add_entity", "Later", ("v",))
@@ -182,9 +222,7 @@ class TestEvictionAndResume:
             assert_report_exact(second)
 
     def test_truncated_window_falls_back_to_rebuild(self, monkeypatch):
-        with ValidationService(
-            settings=ALL_FAMILIES, max_live_engines=1, max_workers=0
-        ) as service:
+        with ValidationService(settings=ALL_FAMILIES, max_live_engines=1) as service:
             first = service.open("first")
             service.open("second")  # evicts "first"
             first.edit("add_entity", "T")
@@ -213,41 +251,6 @@ class TestEvictionAndResume:
             IncrementalEngine.resume(schema, snapshot)
 
 
-class TestParallelShardRefresh:
-    def test_hot_schema_refresh_fans_out_and_stays_exact(self):
-        """A threaded service fans each draining engine's per-analysis
-        shard refreshes onto the dedicated refresh pool; reports must stay
-        multiset-equal to from-scratch analysis regardless."""
-        rng = random.Random(7)
-        with ValidationService(
-            settings=ALL_FAMILIES, max_workers=4, store_shards=4
-        ) as service:
-            hot = service.open("hot")
-            cold = service.open("cold")
-            for step in range(60):
-                apply_random_edit(hot.schema, rng)
-                if step % 3 == 0:
-                    apply_random_edit(cold.schema, rng)
-                if step % 7 == 0:
-                    service.drain()
-            service.drain()
-            assert_report_exact(hot, "hot session, parallel refresh")
-            assert_report_exact(cold, "cold session, parallel refresh")
-
-    def test_engine_refresh_accepts_an_explicit_executor(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        schema = generate_schema(GeneratorConfig(num_types=5, num_facts=4, seed=3))
-        engine = IncrementalEngine(schema, advisories=True)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for index in range(10):
-                apply_random_edit(schema, random.Random(index))
-                engine.refresh(executor=pool)
-        full = PatternEngine().check(schema)
-        assert Counter(engine.report().violations) == Counter(full.violations)
-        assert Counter(engine.advisories()) == Counter(check_wellformedness(schema))
-
-
 class TestSiteWeightedEviction:
     @staticmethod
     def _grow(handle, facts):
@@ -261,16 +264,14 @@ class TestSiteWeightedEviction:
 
     def test_giant_engine_cannot_pin_the_site_budget(self):
         # Probe the giant schema's engine weight under default settings.
-        with ValidationService(max_workers=0) as probe:
+        with ValidationService() as probe:
             handle = probe.open("probe")
             self._grow(handle, 40)
             handle.report()
             giant_sites = probe.stats().live_sites
         assert giant_sites > 40
 
-        with ValidationService(
-            max_live_engines=8, max_live_sites=giant_sites - 1, max_workers=0
-        ) as service:
+        with ValidationService(max_live_engines=8, max_live_sites=giant_sites - 1) as service:
             giant = service.open("giant")
             self._grow(giant, 40)
             giant.report()
@@ -301,15 +302,13 @@ class TestSiteWeightedEviction:
         """Reviving an engine that alone exceeds the site budget must not
         suspend every other session (that would churn all tenants through
         suspend/resume on each revival of the giant)."""
-        with ValidationService(max_workers=0) as probe:
+        with ValidationService() as probe:
             handle = probe.open("probe")
             self._grow(handle, 40)
             handle.report()
             giant_sites = probe.stats().live_sites
 
-        with ValidationService(
-            max_live_engines=8, max_live_sites=giant_sites - 1, max_workers=0
-        ) as service:
+        with ValidationService(max_live_engines=8, max_live_sites=giant_sites - 1) as service:
             giant = service.open("giant")
             self._grow(giant, 40)
             giant.report()
@@ -326,7 +325,7 @@ class TestSiteWeightedEviction:
             assert set(live) == {"giant", *(h.name for h in smalls)}
 
     def test_without_a_site_budget_count_lru_is_unchanged(self):
-        with ValidationService(max_live_engines=8, max_workers=0) as service:
+        with ValidationService(max_live_engines=8) as service:
             giant = service.open("giant")
             self._grow(giant, 40)
             giant.report()
@@ -341,7 +340,7 @@ class TestReportMarks:
     """report_marked: the journal-mark ETag behind /v1/report's if_mark."""
 
     def test_hit_miss_and_monotonic_marks(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("marks")
             handle.edit("add_entity", "A")
             report, mark = service.report_marked("marks")
@@ -364,7 +363,7 @@ class TestReportMarks:
         issued mark still hits afterwards and old marks still miss."""
         from repro.patterns.incremental import JOURNAL_COMPACT_THRESHOLD
 
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("compacting")
             handle.edit("add_entity", "Seed")
             _, early_mark = service.report_marked("compacting")
@@ -381,7 +380,7 @@ class TestReportMarks:
     def test_settings_toggle_invalidates_the_mark(self):
         """Flipping an analysis family changes the report without touching
         the journal; the mark fingerprints the profile so it must miss."""
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("profiled")
             handle.edit("add_entity", "T")
             handle.edit("add_fact", "f", "r1", "T", "r2", "T")
@@ -395,7 +394,7 @@ class TestReportMarks:
     def test_mark_hits_even_after_eviction(self):
         """A suspended engine does not spoil the hit: 'unchanged' is about
         the schema, not about which engines happen to be live."""
-        with ValidationService(max_live_engines=1, max_workers=0) as service:
+        with ValidationService(max_live_engines=1) as service:
             first = service.open("first")
             first.edit("add_entity", "A")
             _, mark = service.report_marked("first")
@@ -404,7 +403,7 @@ class TestReportMarks:
             assert service.report_marked("first", if_mark=mark) == (None, mark)
 
     def test_epochs_differ_between_session_instances(self):
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("inst")
             handle.edit("add_entity", "A")
             _, mark = service.report_marked("inst")
@@ -418,7 +417,7 @@ class TestReportMarks:
     def test_snapshot_schema_round_trips(self):
         from repro.io.dsl import parse_schema
 
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             handle = service.open("snap")
             handle.edit("add_entity", "Pool", ("v1", "v2"))
             handle.edit("add_entity", "Hub")
@@ -426,7 +425,7 @@ class TestReportMarks:
             handle.edit("add_frequency", "u1", 5)
             replayed = parse_schema(service.snapshot_schema("snap"))
             original = service.report("snap")
-            with ValidationService(max_workers=0) as replica:
+            with ValidationService() as replica:
                 clone = replica.open("snap-clone", schema=replayed)
                 assert Counter(clone.report().pattern_report.violations) == Counter(
                     original.pattern_report.violations
@@ -442,7 +441,6 @@ class TestConcurrency:
         with ValidationService(
             settings=ValidatorSettings(formation_rules=True),
             max_live_engines=8,
-            max_workers=4,
         ) as service:
             handles = [service.open(f"s{i}") for i in range(64)]
             errors = []

@@ -1,76 +1,8 @@
-"""ShardedSiteStore: mapping semantics plus stable, disjoint sharding."""
+"""Rendezvous (HRW) session placement: stable, minimally disruptive, uniform."""
 
 import pytest
 
-from repro.server import (
-    DEFAULT_SHARDS,
-    ShardedSiteStore,
-    rendezvous_owner,
-    rendezvous_score,
-    session_home,
-    stable_shard_index,
-)
-
-
-class TestMappingSemantics:
-    def test_behaves_like_a_dict(self):
-        store = ShardedSiteStore(4)
-        store["alpha"] = (1,)
-        store[("pair", "key")] = (2,)
-        assert store["alpha"] == (1,)
-        assert ("pair", "key") in store
-        assert len(store) == 2
-        assert sorted(store, key=repr) == ["alpha", ("pair", "key")]
-        store["alpha"] = (3,)
-        assert store["alpha"] == (3,)
-        assert len(store) == 2
-        del store["alpha"]
-        assert "alpha" not in store
-        with pytest.raises(KeyError):
-            store["alpha"]
-
-    def test_update_and_values_across_shards(self):
-        store = ShardedSiteStore(8)
-        entries = {f"site{i}": (i,) for i in range(50)}
-        store.update(entries)
-        assert dict(store) == entries
-        assert sorted(v for (v,) in store.values()) == list(range(50))
-
-    def test_single_shard_degenerates_to_one_dict(self):
-        store = ShardedSiteStore(1)
-        store.update({f"k{i}": i for i in range(10)})
-        assert len(store.shards()) == 1
-        assert len(store.shards()[0]) == 10
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            ShardedSiteStore(0)
-
-
-class TestShardPlacement:
-    def test_placement_is_stable_and_repr_based(self):
-        # Same key -> same shard on every store of the same width (the
-        # point of CRC32-over-repr: no per-process hash salt).
-        first = ShardedSiteStore(8)
-        second = ShardedSiteStore(8)
-        for key in ["a", ("r1", "r2"), "uniqueness#3"]:
-            assert first.shard_of(key) == second.shard_of(key)
-            assert first.shard_of(key) == stable_shard_index(key, 8)
-
-    def test_shards_partition_the_keys(self):
-        store = ShardedSiteStore(DEFAULT_SHARDS)
-        store.update({f"site{i}": (i,) for i in range(100)})
-        seen = set()
-        for shard in store.shards():
-            assert not (seen & shard.keys())  # disjoint by construction
-            seen |= shard.keys()
-        assert len(seen) == 100
-
-    def test_keys_spread_over_multiple_shards(self):
-        store = ShardedSiteStore(8)
-        store.update({f"constraint#{i}": (i,) for i in range(64)})
-        occupied = sum(1 for shard in store.shards() if shard)
-        assert occupied >= 4  # CRC32 spreads realistic site keys
+from repro.server import rendezvous_owner, rendezvous_score, session_home
 
 
 # ---------------------------------------------------------------------------

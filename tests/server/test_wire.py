@@ -38,7 +38,7 @@ def _backend_kwargs() -> dict:
 def server():
     """One live loopback server for the whole module (fresh sessions per
     test keep the tests independent)."""
-    with ServerThread(max_workers=2, drain_interval=0.02, **_backend_kwargs()) as thread:
+    with ServerThread(drain_interval=0.02, **_backend_kwargs()) as thread:
         yield thread
 
 
@@ -69,7 +69,7 @@ def _scripted_edits(handle_like, index: int) -> None:
 
 def _expected_payload(index: int, settings=None) -> dict:
     """The in-process ValidationService run of the same script."""
-    with ValidationService(settings=settings, max_workers=0) as service:
+    with ValidationService(settings=settings) as service:
         handle = service.open(f"expected{index}")
         _scripted_edits(lambda verb, *args: handle.edit(verb, *args), index)
         report = handle.close()
@@ -328,9 +328,7 @@ class TestAuth:
 
     @pytest.fixture()
     def auth_server(self):
-        with ServerThread(
-            max_workers=0, drain_interval=None, token="s3kr1t", **_backend_kwargs()
-        ) as thread:
+        with ServerThread(drain_interval=None, token="s3kr1t", **_backend_kwargs()) as thread:
             yield thread
 
     def test_verbs_require_the_token(self, auth_server):
@@ -378,7 +376,7 @@ class TestShutdown:
     def test_shutdown_mid_drain_returns_structured_errors(self):
         """Requests racing server shutdown get a clean 503, and the server
         stops promptly even with sessions mid-edit (nothing hangs)."""
-        thread = ServerThread(max_workers=2, drain_interval=0.01).start()
+        thread = ServerThread(drain_interval=0.01).start()
         try:
             client = ServiceClient(thread.base_url, timeout=10)
             client.open("doomed")
@@ -396,7 +394,7 @@ class TestShutdown:
             thread.stop()
 
     def test_requests_after_full_stop_fail_at_transport_level(self):
-        thread = ServerThread(max_workers=0, drain_interval=None).start()
+        thread = ServerThread(drain_interval=None).start()
         base_url = thread.base_url
         thread.stop()
         with pytest.raises((WireTransportError, WireError)):
@@ -409,8 +407,11 @@ class TestConstruction:
         single-process under a multi-process-looking configuration."""
         from repro.server import WireServer
 
-        with ValidationService(max_workers=0) as service:
+        with ValidationService() as service:
             with pytest.raises(ValueError):
                 WireServer(service, workers=2)
         with pytest.raises(ValueError):
             WireServer(workers=-1)
+        # Drains always run inline: a drain-pool width is refused, not ignored.
+        with pytest.raises(ValueError):
+            WireServer(max_workers=4)

@@ -21,16 +21,13 @@ from collections import Counter
 import pytest
 
 from repro.server import ServerThread, ServiceClient, ValidationService, WireError
+from repro.server.durability import KIND_EDIT
 from repro.server.protocol import report_to_payload
-from repro.server.sharding import (
-    rendezvous_owner,
-    rendezvous_score,
-    session_home,
-    stable_shard_index,
-)
+from repro.server.sharding import rendezvous_owner, rendezvous_score, session_home
 from repro.server.workers import (
     REQUIRED_WORKER_VERBS,
     WORKER_PROTOCOL_VERSION,
+    WorkerDied,
     WorkerHandle,
     WorkerPool,
 )
@@ -102,7 +99,7 @@ def _decode_args(args: list) -> list:
 
 def expected_payload(script, settings: ValidatorSettings | None = None) -> dict:
     """The in-process ValidationService run of the same script."""
-    with ValidationService(settings=settings, max_workers=0) as service:
+    with ValidationService(settings=settings) as service:
         handle = service.open("expected")
         for verb, args in script:
             handle.edit(verb, *_decode_args(args))
@@ -125,6 +122,14 @@ def pool_edit(pool: WorkerPool, name: str, verb: str, args: list) -> dict:
     return pool.handle("edit", {"session": name, "verb": verb, "args": args})
 
 
+def kill_worker(pool: WorkerPool, index: int) -> int:
+    """SIGKILL worker ``index`` and wait until it is gone; returns its pid."""
+    handle = pool._handles[index]
+    os.kill(handle.pid, signal.SIGKILL)
+    handle.process.join(timeout=10)
+    return handle.pid
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -139,7 +144,6 @@ class TestPlacement:
     def test_session_home_is_rendezvous_placement(self):
         # Placement is rendezvous (HRW) hashing — the argmax over per-worker
         # scores — so resizes relocate only the sessions whose argmax moved.
-        # It must not collide with raw site-key sharding (a separate keyspace).
         assert session_home("x", 8) == rendezvous_owner("x", 8)
         scores = [rendezvous_score(index, "x") for index in range(8)]
         assert session_home("x", 8) == scores.index(max(scores))
@@ -149,7 +153,7 @@ class TestPlacement:
         assert homes == {0, 1, 2, 3}
 
     def test_pool_routes_by_name_alone(self):
-        with WorkerPool(2, max_workers=0) as pool:
+        with WorkerPool(2) as pool:
             names = [f"route{i}" for i in range(6)]
             for name in names:
                 pool.handle("open", {"session": name})
@@ -168,7 +172,7 @@ class TestPoolApi:
             WorkerPool(1, snapshot_after=0)
 
     def test_typed_errors_cross_the_process_boundary(self):
-        with WorkerPool(2, max_workers=0) as pool:
+        with WorkerPool(2) as pool:
             with pytest.raises(WireError) as excinfo:
                 pool.handle("report", {"session": "never-opened"})
             assert excinfo.value.code == "unknown_session"
@@ -187,7 +191,7 @@ class TestPoolApi:
             assert excinfo.value.code == "malformed_request"
 
     def test_drain_groups_by_home_and_aggregates(self):
-        with WorkerPool(2, max_workers=0) as pool:
+        with WorkerPool(2) as pool:
             names = [f"d{i}" for i in range(8)]
             for name in names:
                 pool.handle("open", {"session": name})
@@ -207,7 +211,7 @@ class TestPoolApi:
             assert stats["changes"] == 1  # the failed drain consumed nothing
 
     def test_close_unroutes_the_session(self):
-        with WorkerPool(2, max_workers=0) as pool:
+        with WorkerPool(2) as pool:
             pool.handle("open", {"session": "temp"})
             pool.handle("close", {"session": "temp"})
             assert pool.health_payload()["workers"]["routed_sessions"] == 0
@@ -221,7 +225,7 @@ class TestConformance:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_scripted_sessions_match_in_process(self, seed):
-        with WorkerPool(2, max_workers=0, snapshot_after=8) as pool:
+        with WorkerPool(2, snapshot_after=8) as pool:
             script = random_script(seed, steps=30)
             pool.handle("open", {"session": f"conf{seed}"})
             for step, (verb, args) in enumerate(script):
@@ -236,7 +240,7 @@ class TestConformance:
         the background tick racing the edits; every close report must be
         multiset-equal to the in-process run of the same script."""
         clients = 12
-        with ServerThread(workers=2, max_workers=2, drain_interval=0.01) as server:
+        with ServerThread(workers=2, drain_interval=0.01) as server:
             results: dict[int, dict] = {}
             errors: list[BaseException] = []
 
@@ -280,7 +284,7 @@ class TestWorkerCrash:
                 pool_edit(pool, name, verb, args)
 
     def test_kill9_mid_drain_rehomes_and_reports_exactly(self):
-        with WorkerPool(2, max_workers=0, snapshot_after=10) as pool:
+        with WorkerPool(2, snapshot_after=10) as pool:
             scripts = {
                 f"k{index}": random_script(200 + index, steps=26)
                 for index in range(6)
@@ -320,7 +324,7 @@ class TestWorkerCrash:
     def test_edits_keep_landing_after_a_kill(self):
         """An edit racing the death is retried exactly once: the journal
         replay excludes it, the retry applies it, reports stay exact."""
-        with WorkerPool(2, max_workers=0) as pool:
+        with WorkerPool(2) as pool:
             script = random_script(321, steps=18)
             pool.handle("open", {"session": "phoenix"})
             half = len(script) // 2
@@ -336,7 +340,7 @@ class TestWorkerCrash:
     def test_rehoming_survives_snapshot_compaction(self):
         """Kill after the journal collapsed to a schema-DSL snapshot: the
         replay is snapshot + window, and must still be exact."""
-        with WorkerPool(1, max_workers=0, snapshot_after=6) as pool:
+        with WorkerPool(1, snapshot_after=6) as pool:
             script = random_script(77, steps=30)
             pool.handle("open", {"session": "compacted"})
             for verb, args in script[:-3]:
@@ -352,7 +356,7 @@ class TestWorkerCrash:
         """Marks are epoch-guarded: a re-homed session (fresh journal
         counter) must never answer 'unchanged' to a pre-crash mark, even
         when the journal positions happen to collide."""
-        with WorkerPool(1, max_workers=0) as pool:
+        with WorkerPool(1) as pool:
             pool.handle("open", {"session": "marked"})
             pool_edit(pool, "marked", "add_entity", ["A"])
             before = pool.handle("report", {"session": "marked"})
@@ -365,35 +369,88 @@ class TestWorkerCrash:
             assert after["report"] == before["report"]
             assert after["mark"] != before["mark"]
 
-    def test_unreplayable_session_is_dropped_everywhere(self):
+    @pytest.mark.parametrize("replay", ["revive", "migrate", "recover"])
+    def test_unreplayable_session_is_dropped_everywhere(self, replay, tmp_path):
         """If a journal somehow stops replaying, the session must be
-        dropped from the router AND closed on the fresh worker — a
-        half-replayed schema must never keep serving under the name."""
-        with WorkerPool(1, max_workers=0) as pool:
+        dropped from the router AND from every worker, whichever path
+        replayed it: re-homing after a worker kill, migration on a resize,
+        or recovery after a router restart.  A half-replayed prefix must
+        never keep serving under the name, and no stale copy may block
+        re-opening it."""
+        pool = WorkerPool(1, data_dir=tmp_path)
+        try:
             pool.handle("open", {"session": "poisoned"})
             pool_edit(pool, "poisoned", "add_entity", ["A"])
             pool.handle("open", {"session": "healthy"})  # one worker: same home
             pool_edit(pool, "healthy", "add_entity", ["B"])
-            # Corrupt the journal so its replay must fail mid-way.
-            pool._sessions["poisoned"].edits.append(
-                {"session": "poisoned", "verb": "add_uniqueness", "args": ["no-role"]}
-            )
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            time.sleep(0.1)
+            # Corrupt both journals so the replay must fail mid-way.
+            poison = {"session": "poisoned", "verb": "add_uniqueness", "args": ["no-role"]}
+            entry = pool._sessions["poisoned"]
+            entry.edits.append(poison)
+            entry.log.append(KIND_EDIT, poison)
+            if replay == "revive":
+                os.kill(pool.worker_pids()[0], signal.SIGKILL)
+                time.sleep(0.1)
+            elif replay == "migrate":
+                assert session_home("poisoned", 2) == 1  # the grow moves it
+                pool.handle("resize", {"workers": 2})
+            else:
+                pool.shutdown()
+                pool = WorkerPool(1, data_dir=tmp_path)
             got = pool.handle("report", {"session": "healthy"})["report"]
-            assert_same_report(got, [("add_entity", ["B"])], "healthy survived")
-            census = pool.health_payload()["workers"]
-            assert census["dropped_sessions"] == 1
-            assert census["rehomed_sessions"] == 1
+            assert_same_report(got, [("add_entity", ["B"])], f"{replay}: healthy")
+            census = pool.health_payload()
+            assert census["workers"]["dropped_sessions"] == 1
+            assert census["stats"]["sessions"] == census["workers"]["routed_sessions"]
+            if replay == "revive":
+                assert census["workers"]["rehomed_sessions"] == 1
             with pytest.raises(WireError) as excinfo:
                 pool.handle("report", {"session": "poisoned"})
             assert excinfo.value.code == "unknown_session"
+
+            def reopen_clean(context: str) -> None:
+                pool.handle("open", {"session": "poisoned"})  # the name is free
+                got = pool.handle("report", {"session": "poisoned"})["report"]
+                assert_same_report(got, [], context)
+                pool.handle("close", {"session": "poisoned"})
+
+            reopen_clean(f"{replay}: re-opened")
+            if replay == "migrate":
+                # The old owner must have let go of its copy as well.
+                pool.handle("resize", {"workers": 1})
+                reopen_clean("migrate: re-opened after shrinking back")
+        finally:
+            pool.shutdown()
+
+    def test_resize_counts_only_sessions_that_moved(self):
+        """A session dropped mid-migration did not move: the resize answer
+        and the census count the sessions that reached their new owner."""
+        names = [f"m{index}" for index in range(40)]
+        mover = next(n for n in names if session_home(n, 2) == 1)
+        stayer = next(n for n in names if session_home(n, 2) == 0)
+        assert session_home("poisoned", 2) == 1
+        with WorkerPool(1) as pool:
+            for name in ("poisoned", mover, stayer):
+                pool.handle("open", {"session": name})
+                pool_edit(pool, name, "add_entity", ["A"])
+            pool._sessions["poisoned"].edits.append(
+                {"session": "poisoned", "verb": "add_uniqueness", "args": ["no-role"]}
+            )
+            response = pool.handle("resize", {"workers": 2})
+            assert response["migrated"] == 1
+            census = pool.health_payload()["workers"]
+            assert census["migrated_sessions"] == 1
+            assert census["dropped_sessions"] == 1
+            assert (pool.home_of(mover), pool.home_of(stayer)) == (1, 0)
+            for name in (mover, stayer):
+                got = pool.handle("report", {"session": name})["report"]
+                assert_same_report(got, [("add_entity", ["A"])], name)
 
     def test_healthz_detects_and_revives_a_dead_worker(self):
         """The probe answers immediately (revival runs in the background —
         a liveness probe must never stall behind a re-homing replay) but
         still *triggers* the revival; a follow-up census sees it done."""
-        with WorkerPool(2, max_workers=0) as pool:
+        with WorkerPool(2) as pool:
             pool.handle("open", {"session": "watched"})
             pool_edit(pool, "watched", "add_entity", ["T"])
             os.kill(pool.worker_pids()[pool.home_of("watched")], signal.SIGKILL)
@@ -411,13 +468,87 @@ class TestWorkerCrash:
             assert_same_report(got, [("add_entity", ["T"])], "watched")
 
 
+class TestRetryLoop:
+    """Every routed verb shares one revive-and-retry loop: a dead worker
+    is revived once and the request retried; a second death is the typed
+    ``worker_failed``."""
+
+    #: One request per way into the router, each against the pool's only
+    #: worker; "unrouted" is a verb for a session the router never opened.
+    REQUESTS = {
+        "open": ("open", {"session": "late"}),
+        "edit": ("edit", {"session": "kept", "verb": "add_entity", "args": ["B"]}),
+        "report": ("report", {"session": "kept"}),
+        "check": ("check", {"session": "kept", "goal": "strong", "max_domain": 2}),
+        "close": ("close", {"session": "kept"}),
+        "drain": ("drain", {}),
+        "unrouted": ("report", {"session": "never-opened"}),
+    }
+
+    @pytest.mark.parametrize("case", list(REQUESTS))
+    def test_a_dead_worker_is_revived_once_and_the_verb_answered(self, case):
+        verb, payload = self.REQUESTS[case]
+        with WorkerPool(1) as pool:
+            pool.handle("open", {"session": "kept"})
+            pool_edit(pool, "kept", "add_entity", ["A"])
+            dead_pid = kill_worker(pool, 0)
+            if case == "unrouted":
+                # The revived worker answers the typed 404, not worker_failed.
+                with pytest.raises(WireError) as excinfo:
+                    pool.handle(verb, payload)
+                assert excinfo.value.code == "unknown_session"
+            else:
+                assert pool.handle(verb, payload)["ok"] is True
+            census = pool.health_payload()["workers"]
+            assert census["restarts"] == 1
+            assert census["rehomed_sessions"] == 1
+            assert dead_pid not in pool.worker_pids()
+            if case != "close":
+                script = [("add_entity", ["A"])]
+                if case == "edit":
+                    script.append(("add_entity", ["B"]))
+                got = pool.handle("report", {"session": "kept"})["report"]
+                assert_same_report(got, script, f"{case}: kept")
+
+    @pytest.mark.parametrize("case", list(REQUESTS))
+    def test_a_second_death_is_worker_failed_naming_the_verb(self, case, monkeypatch):
+        """At most two attempts, with the revival between them run while
+        no session lock is held."""
+        verb, payload = self.REQUESTS[case]
+        with WorkerPool(1) as pool:
+            pool.handle("open", {"session": "kept"})
+            attempts: list[str] = []
+            revivals: list[tuple[WorkerHandle, bool]] = []
+
+            def revive(dead: WorkerHandle) -> None:
+                entry = pool._sessions.get(payload.get("session"))
+                revivals.append((dead, entry is not None and entry.lock.locked()))
+
+            real_checked = WorkerHandle.checked
+
+            def dying(handle, sent_verb, *args, **kwargs):
+                if sent_verb == verb:
+                    attempts.append(sent_verb)
+                    raise WorkerDied(f"injected death during {sent_verb!r}", handle)
+                return real_checked(handle, sent_verb, *args, **kwargs)
+
+            monkeypatch.setattr(pool, "_revive", revive)
+            monkeypatch.setattr(WorkerHandle, "checked", dying)
+            with pytest.raises(WireError) as excinfo:
+                pool.handle(verb, payload)
+            assert excinfo.value.code == "worker_failed"
+            assert repr(verb) in str(excinfo.value)
+            assert attempts == [verb, verb]
+            assert revivals == [(pool._handles[0], False)]
+
+
 class TestProtocolNegotiation:
     """The router<->worker protocol regression net."""
 
     def test_worker_rejects_unknown_verbs_with_a_typed_error(self):
         """A router grown past this worker's verb set gets the structured
         unknown_verb error — and the worker keeps serving afterwards."""
-        handle = WorkerHandle(0, {"service": {"max_workers": 0}})
+        handle = WorkerHandle(0, {})
         try:
             response = handle.request("rebalance_shards", {"plan": []})
             assert response["ok"] is False
@@ -432,7 +563,7 @@ class TestProtocolNegotiation:
 
     def test_router_refuses_an_incompatible_worker_at_handshake(self):
         with pytest.raises(WireError) as excinfo:
-            WorkerHandle(0, {"service": {"max_workers": 0}}, expected_protocol=999)
+            WorkerHandle(0, {}, expected_protocol=999)
         assert excinfo.value.code == "worker_protocol_mismatch"
         assert "999" in str(excinfo.value)
 
@@ -453,7 +584,7 @@ class TestProtocolNegotiation:
 
         monkeypatch.setattr(WorkerPool, "_spawn", failing_spawn)
         with pytest.raises(WireError) as excinfo:
-            WorkerPool(2, max_workers=0)
+            WorkerPool(2)
         assert excinfo.value.code == "worker_failed"
         assert spawned, "worker 0 must have been spawned before the failure"
         for handle in spawned:
@@ -461,7 +592,7 @@ class TestProtocolNegotiation:
             assert not handle.alive()
 
     def test_worker_answers_malformed_payloads_structurally(self):
-        handle = WorkerHandle(0, {"service": {"max_workers": 0}})
+        handle = WorkerHandle(0, {})
         try:
             response = handle.request("open", {"session": 12})
             assert response["ok"] is False

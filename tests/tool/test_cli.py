@@ -132,7 +132,7 @@ class TestRemoteBatch:
     def test_batch_against_a_live_server(self, unsat_file, sat_file, capsys):
         from repro.server import ServerThread
 
-        with ServerThread(max_workers=0, drain_interval=None) as server:
+        with ServerThread(drain_interval=None) as server:
             code = main(
                 ["--batch", "--server", server.base_url, str(unsat_file), str(sat_file)]
             )
@@ -147,7 +147,7 @@ class TestRemoteBatch:
 
         from repro.server import ServerThread
 
-        with ServerThread(max_workers=0, drain_interval=None) as server:
+        with ServerThread(drain_interval=None) as server:
             code = main(
                 ["--batch", "--server", server.base_url, "--format", "json", str(unsat_file)]
             )
@@ -161,7 +161,7 @@ class TestRemoteBatch:
         validate in-process."""
         from repro.server import ServerThread
 
-        with ServerThread(max_workers=0, drain_interval=None) as server:
+        with ServerThread(drain_interval=None) as server:
             code = main(["--server", server.base_url, str(sat_file)])
         assert code == 0
         assert "validated remotely" in capsys.readouterr().out
@@ -175,7 +175,7 @@ class TestRemoteBatch:
         from repro.server import ServerThread
 
         monkeypatch.delenv("ORM_VALIDATE_TOKEN", raising=False)
-        with ServerThread(max_workers=0, drain_interval=None, token="hunter2") as server:
+        with ServerThread(drain_interval=None, token="hunter2") as server:
             denied = main(["--batch", "--server", server.base_url, str(sat_file)])
             err = capsys.readouterr().err
             assert denied == 2
@@ -197,7 +197,7 @@ class TestRemoteBatch:
         from repro.server import ServerThread
 
         monkeypatch.setenv("ORM_VALIDATE_TOKEN", "hunter2")
-        with ServerThread(max_workers=0, drain_interval=None, token="hunter2") as server:
+        with ServerThread(drain_interval=None, token="hunter2") as server:
             code = main(["--batch", "--server", server.base_url, str(sat_file)])
         assert code == 0
         assert "validated remotely" in capsys.readouterr().out
